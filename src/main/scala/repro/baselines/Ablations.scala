@@ -58,6 +58,6 @@ object Ablations {
   object NRRobustPeriod extends Detector {
     val name = "NR-RobustPeriod"
     private val cfg = RobustPeriod.Config(useHuberPeriodogram = false, useRobustVariance = false)
-    def detect(y: Array[Double]): Seq[Int] = RobustPeriod.detect(y, cfg).rankedPeriods
+    def detect(y: Array[Double]): Seq[Int] = RobustPeriod.detect(y, cfg).periods
   }
 }

@@ -31,5 +31,5 @@ abstract class Detrended(val name: String, lambda: Double = -1) extends Detector
 final class RobustPeriodDetector(cfg: RobustPeriod.Config = RobustPeriod.Config())
     extends Detector {
   val name = "RobustPeriod"
-  def detect(x: Array[Double]): Seq[Int] = RobustPeriod.detect(x, cfg).rankedPeriods
+  def detect(x: Array[Double]): Seq[Int] = RobustPeriod.detect(x, cfg).periods
 }

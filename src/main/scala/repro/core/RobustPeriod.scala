@@ -18,6 +18,10 @@ object RobustPeriod {
       huberZeta: Double = 1.345,
       fisherAlpha: Double = 1e-3,
       acfMinHeight: Double = 0.15,
+      /** Iteration cap of the Huber-periodogram solver (passes over the
+        * data per exact ordinate). The name predates the Newton/IRLS
+        * solver and is kept because the benchmark harness reads it.
+        */
       admmIter: Int = 50,
       /** Skip levels whose robust variance is below this fraction of the
         * total wavelet variance (speed knob; 0 processes every level).
@@ -40,10 +44,8 @@ object RobustPeriod {
       acfPeriod: Int,            // validated final period, 0 if rejected
   )
 
-  final case class Result(periods: Seq[Int], levels: Seq[LevelResult]) {
-    /** Periods ranked by the wavelet variance of the level that found them. */
-    def rankedPeriods: Seq[Int] = periods
-  }
+  /** `periods` are ranked by the wavelet variance of the level that found them. */
+  final case class Result(periods: Seq[Int], levels: Seq[LevelResult])
 
   def detect(y: Array[Double], cfg: Config = Config()): Result = {
     val n = y.length

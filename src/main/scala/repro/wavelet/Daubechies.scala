@@ -3,6 +3,8 @@ package repro.wavelet
 import repro.numerics.PolyRoots
 import repro.numerics.PolyRoots.C
 
+import scala.collection.concurrent.TrieMap
+
 /** Daubechies orthonormal wavelet filters.
   *
   * Orders 1–4 are pinned to published coefficient tables; any order is also
@@ -29,9 +31,16 @@ object Daubechies {
                0.032883011666982945, -0.010597401784997278),
   )
 
-  /** Scaling (low-pass) filter for Daubechies order p (2p taps). */
+  /** Filters by order: the tables, plus each generated order once it is
+    * first asked for (spectral factorization costs ~25 ms for db10).
+    */
+  private val filters: TrieMap[Int, Array[Double]] = TrieMap.from(tables)
+
+  /** Scaling (low-pass) filter for Daubechies order p (2p taps); a fresh
+    * copy, so callers may modify it.
+    */
   def scaling(p: Int): Array[Double] =
-    tables.getOrElse(p, generate(p))
+    filters.getOrElseUpdate(p, generate(p)).clone()
 
   /** Wavelet (high-pass) filter: h_l = (−1)^l g_{L−1−l}. */
   def wavelet(p: Int): Array[Double] = {
@@ -50,7 +59,7 @@ object Daubechies {
     */
   def generate(p: Int): Array[Double] = {
     require(p >= 1 && p <= 20, s"unsupported Daubechies order $p")
-    if (p == 1) return tables(1)
+    if (p == 1) return tables(1).clone()
     // P(y) coefficients: binomial C(p-1+k, k).
     val pc = Array.tabulate(p)(k => binom(p - 1 + k, k))
     // Q(z) = z^{p-1} P((2 - z - 1/z)/4): build by polynomial arithmetic.

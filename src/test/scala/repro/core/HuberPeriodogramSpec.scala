@@ -5,6 +5,10 @@ import scala.util.Random
 
 class HuberPeriodogramSpec extends AnyFunSuite {
 
+  /** The production solver at one ordinate. */
+  private def huberAt(x: Array[Double], k: Int, zeta: Double, maxIter: Int = 50): Double =
+    HuberPeriodogram.spliced(x, (k, k), zeta, maxIter)(k)
+
   test("vanilla periodogram peaks exactly at the sine frequency bin") {
     val n = 400
     val x = Array.tabulate(n)(t => math.sin(2 * math.Pi * 8 * t / n))
@@ -24,7 +28,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
       val n = 256
       val x = Array.fill(n)(rnd.nextGaussian())
       val pv = HuberPeriodogram.vanilla(x)(k)
-      val ph = HuberPeriodogram.huberAtK(x, k, zeta = 1e9, maxIter = 200)
+      val ph = huberAt(x, k, zeta = 1e9)
       assert(math.abs(ph - pv) < 1e-6 * math.max(1.0, pv), s"$ph vs $pv")
     }
   }
@@ -33,7 +37,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     val n = 512
     val x = Array.tabulate(n)(t => math.sin(2 * math.Pi * 16 * t / n))
     val pv = HuberPeriodogram.vanilla(x)(16)
-    val ph = HuberPeriodogram.huberAtK(x, 16, zeta = 1.345)
+    val ph = huberAt(x, 16, zeta = 1.345)
     // Clean data: all residuals inside ζ, so Huber ≈ LS.
     assert(math.abs(ph - pv) / pv < 0.05, s"$ph vs $pv")
   }
@@ -50,19 +54,22 @@ class HuberPeriodogramSpec extends AnyFunSuite {
       (1 to n / 2).filter(k => math.abs(k - 16) > 3).map(p).max
     val van = HuberPeriodogram.vanilla(dirty)
     val vanOff = offPeakMax(van(_))
-    val hubOff = offPeakMax(k => HuberPeriodogram.huberAtK(dirty, k, 1.345))
+    val hub = HuberPeriodogram.huberFull(dirty, 1.345)
+    val hubOff = offPeakMax(hub(_))
     assert(hubOff < vanOff, s"huber off-peak $hubOff vs vanilla $vanOff")
     // And the Huber peak stays within 40% of the clean peak.
-    val hubPeak = HuberPeriodogram.huberAtK(dirty, 16, 1.345)
+    val hubPeak = hub(16)
     assert(math.abs(hubPeak - peakClean) / peakClean < 0.4, s"$hubPeak vs $peakClean")
   }
 
   test("degenerate frequencies (k=0, Nyquist) fall back without NaN") {
     val rnd = new Random(5)
     val x = Array.fill(64)(rnd.nextGaussian())
-    val p0 = HuberPeriodogram.huberAtK(x, 0, 1.345)
-    val pN = HuberPeriodogram.huberAtK(x, 32, 1.345)
+    val p  = HuberPeriodogram.spliced(x, (0, 32), 1.345)
+    val vn = HuberPeriodogram.vanilla(x)
+    val p0 = p(0); val pN = p(32)
     assert(!p0.isNaN && !pN.isNaN && p0 >= 0 && pN >= 0)
+    assert(p0 == vn(0) && pN == vn(32))
   }
 
   test("spliced equals vanilla outside the exact band") {
@@ -90,8 +97,8 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     val n = 300
     val x = Array.tabulate(n)(t => math.sin(2 * math.Pi * 10 * t / n) + 0.3 * rnd.nextGaussian())
     x(13) += 15.0
-    val p50  = HuberPeriodogram.huberAtK(x, 10, 1.345, maxIter = 50)
-    val p500 = HuberPeriodogram.huberAtK(x, 10, 1.345, maxIter = 500)
+    val p50  = HuberAdmm.huberAtK(x, 10, 1.345, maxIter = 50)
+    val p500 = HuberAdmm.huberAtK(x, 10, 1.345, maxIter = 500)
     assert(math.abs(p50 - p500) / p500 < 1e-3, s"$p50 vs $p500")
   }
 
@@ -119,8 +126,73 @@ class HuberPeriodogramSpec extends AnyFunSuite {
       c1 = best._1; c2 = best._2; step /= 4
     }
     val pOracle = n / 4.0 * (best._1 * best._1 + best._2 * best._2)
-    val pAdmm   = HuberPeriodogram.huberAtK(x, k, zeta, maxIter = 300)
+    val pAdmm   = HuberAdmm.huberAtK(x, k, zeta, maxIter = 300)
     assert(math.abs(pAdmm - pOracle) / math.max(pOracle, 1e-9) < 0.05,
       s"ADMM $pAdmm vs grid $pOracle")
+    val pNewton = huberAt(x, k, zeta)
+    assert(math.abs(pNewton - pOracle) / math.max(pOracle, 1e-9) < 0.05,
+      s"Newton $pNewton vs grid $pOracle")
+  }
+
+  // Property: prox solves the scalar minimization (checked numerically).
+  test("Huber prox minimizes γ_ζ(z) + (ρ/2)(z−v)²") {
+    val vs = Seq(-5.0, -2.0, -1.0, -0.3, 0.0, 0.4, 1.2, 2.5, 6.0)
+    for (v <- vs; zeta <- Seq(0.5, 1.345, 3.0); rho <- Seq(0.5, 1.0, 2.0)) {
+      val zStar = HuberAdmm.huberProx(v, zeta, rho)
+      def obj(z: Double) = RobustStats.huberLoss(z, zeta) + rho / 2 * (z - v) * (z - v)
+      val best = (-800 to 800).map(_ * 0.01).minBy(obj)
+      assert(math.abs(obj(zStar) - obj(best)) < 1e-4,
+        s"prox($v, ζ=$zeta, ρ=$rho)=$zStar vs grid $best")
+    }
+  }
+
+  /** Level-style input: `n` points zero-padded to N' = 2n. */
+  private def padded(v: Array[Double]): Array[Double] = v ++ new Array[Double](v.length)
+
+  private val oracleInputs: Seq[(String, Array[Double])] = {
+    val n = 400
+    def rnd(seed: Int) = new Random(seed)
+    val gauss = { val r = rnd(11); Array.fill(n)(r.nextGaussian()) }
+    val gross = {
+      val r = rnd(12)
+      Array.tabulate(n)(t => math.sin(2 * math.Pi * t / 25) + 0.3 * r.nextGaussian() +
+        (if (r.nextDouble() < 0.4) 50.0 * r.nextGaussian() else 0.0))
+    }
+    val impulses = {
+      val r = rnd(13)
+      val v = Array.tabulate(n)(t => 2 * math.cos(2 * math.Pi * t / 40) + 0.1 * r.nextGaussian())
+      (0 until 8).foreach(_ => v(r.nextInt(n)) += 200.0 * (if (r.nextBoolean()) 1 else -1))
+      v
+    }
+    val tiny = { val r = rnd(14); Array.tabulate(n)(t => 1e-6 * (math.sin(2 * math.Pi * t / 16) + r.nextGaussian())) }
+    val spiked = {
+      val r = rnd(15)
+      Array.tabulate(n)(t => 10 * math.sin(2 * math.Pi * t / 20) + (if (r.nextDouble() < 0.1) 1e3 else 0.0))
+    }
+    Seq("Gaussian" -> gauss, "40% gross outliers" -> gross, "sparse impulses" -> impulses,
+        "1e-6-scale data" -> tiny, "spiked sine" -> spiked).map { case (s, v) => s -> padded(v) }
+  }
+
+  for ((name, x) <- oracleInputs) {
+    test(s"Newton/IRLS matches the ADMM oracle to 1e-6 relative: $name") {
+      val n     = x.length
+      val floor = 1e-6 * x.map(v => v * v).sum / n // mean power: the near-zero-ordinate floor
+      val ks    = Seq(1, 7, 20, 40, 41, 100, 199, 250, 301, 399)
+      val sp    = HuberPeriodogram.huberFull(x, 1.345)
+      ks.foreach { k =>
+        val want = HuberAdmm.huberAtK(x, k, 1.345, maxIter = 3000, tol = 0.0)
+        assert(math.abs(sp(k) - want) <= 1e-6 * math.max(want, floor), s"k=$k: ${sp(k)} vs ADMM $want")
+      }
+    }
+  }
+
+  test("huge ζ equals vanilla at N' = 40000 (shared twiddle table)") {
+    val rnd = new Random(16)
+    val x   = Array.fill(40000)(rnd.nextGaussian())
+    val vn  = HuberPeriodogram.vanilla(x)
+    for (k <- Seq(1, 997, 12345, 19999)) {
+      val ph = huberAt(x, k, zeta = 1e9)
+      assert(math.abs(ph - vn(k)) <= 1e-9 * vn(k), s"k=$k: $ph vs ${vn(k)}")
+    }
   }
 }

@@ -66,6 +66,16 @@ class DaubechiesSpec extends AnyFunSuite {
     assert(g(0) > 0) // sign convention pinned
   }
 
+  for (p <- Seq(2, 10)) {
+    test(s"db$p filters are built once and returned as copies") {
+      val first = Daubechies.scaling(p)
+      val kept  = first.clone()
+      assert(Daubechies.scaling(p).sameElements(first))
+      first(0) = 42.0
+      assert(Daubechies.scaling(p).sameElements(kept))
+    }
+  }
+
   test("unsupported order rejected") {
     intercept[IllegalArgumentException] { Daubechies.generate(25) }
   }
