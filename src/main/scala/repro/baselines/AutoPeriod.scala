@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{ACF, HuberPeriodogram}
+import repro.core.{ACF, FFT, HuberPeriodogram}
 import scala.util.Random
 
 /** AUTOPERIOD baseline (Vlachos, Yu & Castelli 2005): periodogram "power
@@ -15,21 +15,45 @@ class AutoPeriod(nPermutations: Int = 100, percentile: Double = 0.99, seed: Long
     val n     = x.length
     val pHalf = HuberPeriodogram.vanilla(x).take(n / 2 + 1)
     val acf   = ACF.biased(x)
-    // Permutation power threshold: shuffling destroys periodic structure
-    // while preserving the marginal distribution; the chosen percentile of
-    // the shuffled max-power distribution separates signal from noise bins.
-    val rnd = new Random(seed)
-    val maxima = Array.fill(nPermutations) {
-      val sh = rnd.shuffle(x.toVector).toArray
-      val ps = HuberPeriodogram.vanilla(sh)
-      var mx = 0.0
-      var k  = 1
-      while (k <= n / 2) { mx = math.max(mx, ps(k)); k += 1 }
-      mx
-    }
+    val maxima = permutationMaxima(x)
     java.util.Arrays.sort(maxima)
     val thresh = maxima(math.min(nPermutations - 1, (percentile * nPermutations).toInt))
     candidatesValidated(pHalf, acf, n, thresh)
+  }
+
+  /** Permutation power threshold's samples: for each of `nPermutations`
+    * shuffles of x, max_{1≤k≤n/2} |X_k|²/n. Shuffling destroys periodic
+    * structure while preserving the marginal distribution; the chosen
+    * percentile of these maxima separates signal from noise bins.
+    *
+    * Each shuffle is the Fisher–Yates pass of `scala.util.Random.shuffle`
+    * (same draws, same swaps) run in place on one interleaved complex
+    * buffer, which the cached plan then transforms.
+    */
+  def permutationMaxima(x: Array[Double]): Array[Double] = {
+    val n    = x.length
+    val rnd  = new Random(seed)
+    val plan = FFT.plan(n)
+    val buf  = new Array[Double](2 * n)
+    Array.fill(nPermutations) {
+      var t = 0
+      while (t < n) { buf(2 * t) = x(t); buf(2 * t + 1) = 0.0; t += 1 }
+      var i = n
+      while (i >= 2) {
+        val k = rnd.nextInt(i)
+        val tmp = buf(2 * (i - 1)); buf(2 * (i - 1)) = buf(2 * k); buf(2 * k) = tmp
+        i -= 1
+      }
+      plan.complexForward(buf)
+      var mx = 0.0
+      var k  = 1
+      while (k <= n / 2) {
+        val re = buf(2 * k); val im = buf(2 * k + 1)
+        mx = math.max(mx, (re * re + im * im) / n)
+        k += 1
+      }
+      mx
+    }
   }
 
   /** Candidate bins above `thresh`, hill-validated and refined on the ACF. */

@@ -12,8 +12,51 @@ import org.jtransforms.fft.DoubleFFT_1D
   * Arbitrary lengths are supported (JTransforms uses mixed-radix +
   * Bluestein internally); the test suite cross-checks against a naive
   * O(n²) DFT for prime, odd and power-of-two lengths.
+  *
+  * Plans are built once per length and thread: see [[plan]].
   */
 object FFT {
+
+  /** Everything precomputed for length-n transforms: the JTransforms plan
+    * and, built on first use, the cos/sin(2πm/n) table, m = 0..n−1.
+    */
+  final class Plan private[FFT] (n: Int) {
+    private val fft = new DoubleFFT_1D(n.toLong)
+
+    /** In-place forward DFT of an interleaved complex array of length 2n. */
+    def complexForward(a: Array[Double]): Unit = fft.complexForward(a)
+
+    /** In-place inverse DFT (scaled by 1/n) of an interleaved complex array. */
+    def complexInverse(a: Array[Double]): Unit = fft.complexInverse(a, true)
+
+    lazy val cos: Array[Double] = Array.tabulate(n)(m => math.cos(2 * math.Pi * m / n))
+    lazy val sin: Array[Double] = Array.tabulate(n)(m => math.sin(2 * math.Pi * m / n))
+  }
+
+  /** Lengths cached per thread before the cache is emptied. */
+  private[core] val MaxCachedLengths = 32
+
+  // Per thread, so concurrent Spark tasks never share a plan's work arrays.
+  private val plans = ThreadLocal.withInitial[java.util.HashMap[Integer, Plan]](
+    () => new java.util.HashMap[Integer, Plan]())
+
+  /** The calling thread's plan for length n, built on first request. The
+    * cache holds at most [[MaxCachedLengths]] lengths; a request for one
+    * more empties it first.
+    */
+  def plan(n: Int): Plan = {
+    val cache = plans.get
+    var p = cache.get(n)
+    if (p == null) {
+      if (cache.size >= MaxCachedLengths) cache.clear()
+      p = new Plan(n)
+      cache.put(n, p)
+    }
+    p
+  }
+
+  /** Number of lengths in the calling thread's plan cache. */
+  private[core] def cachedLengths: Int = plans.get.size
 
   /** Forward DFT of a real signal. Returns interleaved complex
     * [re0, im0, re1, im1, ...] of length 2n.
@@ -23,7 +66,7 @@ object FFT {
     val a = new Array[Double](2 * n)
     var i = 0
     while (i < n) { a(2 * i) = x(i); i += 1 }
-    new DoubleFFT_1D(n).complexForward(a)
+    plan(n).complexForward(a)
     a
   }
 
@@ -33,7 +76,7 @@ object FFT {
   def inverseReal(spec: Array[Double]): Array[Double] = {
     val a = spec.clone()
     val n = a.length / 2
-    new DoubleFFT_1D(n).complexInverse(a, true)
+    plan(n).complexInverse(a)
     Array.tabulate(n)(i => a(2 * i))
   }
 

@@ -30,9 +30,10 @@ object HuberPeriodogram {
     * least-squares warm start: for 0 < k < n/2, φᵀφ = (n/2)·I, so
     * β_LS = (2·Re X_k, −2·Im X_k)/n. At k = 0 and the Nyquist index the
     * regressor pair is degenerate, and the ordinate stays vanilla.
-    * Every exact ordinate reads one cos/sin(2πm/n) table at m = k·t mod n,
-    * so no error accrues along t as it would with a rotation recurrence.
-    * `maxIter` caps the solver's passes over the data per ordinate.
+    * Every exact ordinate reads the length-n plan's cos/sin(2πm/n) table
+    * at m = k·t mod n, so no error accrues along t as it would with a
+    * rotation recurrence. `maxIter` caps the solver's passes over the data
+    * per ordinate.
     */
   def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double,
               maxIter: Int = 50): Array[Double] = {
@@ -43,11 +44,11 @@ object HuberPeriodogram {
     val lo   = math.max(1, exactBand._1)
     val hi   = math.min((n - 1) / 2, exactBand._2)
     if (lo <= hi) {
-      val cos = Array.tabulate(n)(m => math.cos(2 * math.Pi * m / n))
-      val sin = Array.tabulate(n)(m => math.sin(2 * math.Pi * m / n))
-      var k   = lo
+      val plan     = FFT.plan(n)
+      val zeroTail = n % 2 == 0 && (half until n).forall(x(_) == 0.0)
+      var k        = lo
       while (k <= hi) {
-        out(k) = huberAtK(x, cos, sin, k, zeta, maxIter,
+        out(k) = huberAtK(x, plan.cos, plan.sin, k, zeta, maxIter, zeroTail,
                           2.0 * spec(2 * k) / n, -2.0 * spec(2 * k + 1) / n)
         k += 1
       }
@@ -73,11 +74,19 @@ object HuberPeriodogram {
     * f too, the rise is rounding and the accepted iterate is final.
     * Otherwise stops when ‖Δβ‖ ≤ 1e-12·(1 + ‖β‖) or after `maxIter`
     * passes.
+    *
+    * `zeroTail` says that n is even and x_t = 0 for t ≥ n/2, the shape of
+    * a zero-padded level series. The tail's regressors then sum to
+    * Σ_{t≥n/2} φ_tφ_tᵀ = (n/4)·I for 0 < k < n/2, and at an iterate with
+    * ‖β‖ ≤ ζ every tail residual |φ_t β| ≤ ‖β‖ is an inlier, so the tail
+    * adds (n/8)‖β‖² to f, (n/4)·β to g and (n/4)·I to both Hessians in
+    * closed form and the pass covers t < n/2 only.
     */
   private def huberAtK(x: Array[Double], cos: Array[Double], sin: Array[Double],
-                       k: Int, zeta: Double, maxIter: Int,
+                       k: Int, zeta: Double, maxIter: Int, zeroTail: Boolean,
                        ls1: Double, ls2: Double): Double = {
     val n = x.length
+    val q = n / 4.0
     // Last accepted iterate, its objective and its IRLS step.
     var a1 = ls1; var a2 = ls2
     var fa = Double.PositiveInfinity
@@ -91,8 +100,16 @@ object HuberPeriodogram {
       var f = 0.0; var g1 = 0.0; var g2 = 0.0
       var n11 = 0.0; var n12 = 0.0; var n22 = 0.0
       var w11 = 0.0; var w12 = 0.0; var w22 = 0.0
+      val bb  = b1 * b1 + b2 * b2
+      val end = if (zeroTail && bb <= zeta * zeta) {
+        f = q / 2 * bb
+        g1 = q * b1; g2 = q * b2
+        n11 = q; n22 = q
+        w11 = q; w22 = q
+        n / 2
+      } else n
       var t = 0; var idx = 0
-      while (t < n) {
+      while (t < end) {
         val c = cos(idx); val s = sin(idx)
         val r = c * b1 + s * b2 - x(t)
         val cc = c * c; val cs = c * s; val ss = s * s
@@ -133,6 +150,6 @@ object HuberPeriodogram {
       done ||= !(math.hypot(d1, d2) > 1e-12 * (1.0 + math.hypot(a1, a2)))
       b1 = a1 + d1; b2 = a2 + d2
     }
-    n / 4.0 * (a1 * a1 + a2 * a2)
+    q * (a1 * a1 + a2 * a2)
   }
 }

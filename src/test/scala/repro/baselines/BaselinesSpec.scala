@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{ACF, HuberPeriodogram}
 import repro.synth.TimeSeriesGen._
 import scala.util.Random
 
@@ -155,6 +156,37 @@ class AutoPeriodSpec extends AnyFunSuite {
   test("deterministic across calls (seeded permutations)") {
     val y = synthetic(800, Seq(40), Sin, 0.3, 0.02, seed = 9)
     assert(AutoPeriod.detect(y) == AutoPeriod.detect(y))
+  }
+
+  /** The permutation threshold as first written: `Random.shuffle` of a
+    * boxed copy and a vanilla periodogram per permutation — the reference
+    * the in-place version must reproduce bit for bit.
+    */
+  private class ShuffleOracle(seed: Long) extends AutoPeriod(100, 0.99, seed) {
+    def maxima(x: Array[Double]): Array[Double] = {
+      val n   = x.length
+      val rnd = new Random(seed)
+      Array.fill(100) {
+        val ps = HuberPeriodogram.vanilla(rnd.shuffle(x.toVector).toArray)
+        (1 to n / 2).map(ps(_)).foldLeft(0.0)(math.max)
+      }
+    }
+    override protected def detectDetrended(x: Array[Double]): Seq[Int] = {
+      val m = maxima(x).sorted
+      candidatesValidated(HuberPeriodogram.vanilla(x).take(x.length / 2 + 1),
+        ACF.biased(x), x.length, m(math.min(99, (0.99 * 100).toInt)))
+    }
+  }
+
+  for (n <- Seq(1000, 1680, 999); seed <- Seq(7L, 1L, 2024L)) {
+    test(s"in-place permutations equal Random.shuffle bit for bit (n=$n, seed=$seed)") {
+      val y    = synthetic(n, Seq(20, 50), Sin, 1.0, 0.1, seed = seed + n)
+      val want = new ShuffleOracle(seed).maxima(y)
+      val got  = new AutoPeriod(100, 0.99, seed).permutationMaxima(y)
+      assert(got.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+             want.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      assert(new AutoPeriod(100, 0.99, seed).detect(y) == new ShuffleOracle(seed).detect(y))
+    }
   }
 }
 

@@ -1,11 +1,12 @@
 package repro.core
 
+import org.jtransforms.fft.DoubleFFT_1D
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 class FFTSpec extends AnyFunSuite {
 
-  for (n <- Seq(2, 3, 5, 7, 8, 16, 17, 60, 100, 128, 251, 1000)) {
+  for (n <- Seq(2, 3, 5, 7, 8, 16, 17, 60, 100, 128, 251, 1000, 1680, 3360)) {
     test(s"forward FFT matches naive DFT (n=$n)") {
       val rnd = new Random(n)
       val x = Array.fill(n)(rnd.nextGaussian())
@@ -60,5 +61,43 @@ class FFTSpec extends AnyFunSuite {
     val sum = FFT.forward(Array.tabulate(50)(i => 2 * a(i) + 3 * b(i)))
     val fa = FFT.forward(a); val fb = FFT.forward(b)
     sum.indices.foreach(i => assert(math.abs(sum(i) - 2 * fa(i) - 3 * fb(i)) < 1e-9))
+  }
+
+  test("cached plans on 4 threads give bit-identical output to fresh plans") {
+    // Split-radix, mixed-radix and Bluestein (factor 7) lengths.
+    val lengths = Seq(1024, 1000, 1680, 3360)
+    val inputs  = lengths.map { n => val rnd = new Random(n); Array.fill(2 * n)(rnd.nextGaussian()) }
+    val want    = inputs.map { a => val b = a.clone(); new DoubleFFT_1D(a.length / 2L).complexForward(b); b }
+    val mismatches = new java.util.concurrent.atomic.AtomicInteger
+    val threads = (0 until 4).map { id =>
+      new Thread(() => {
+        (0 until 50).foreach { rep =>
+          val i = (id + rep) % lengths.size
+          val b = inputs(i).clone()
+          FFT.plan(lengths(i)).complexForward(b)
+          if (!java.util.Arrays.equals(b, want(i))) mismatches.incrementAndGet()
+        }
+      })
+    }
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    assert(mismatches.get == 0)
+  }
+
+  test("plan cache keeps one plan per length and thread, and stays bounded") {
+    val here = FFT.plan(48)
+    assert(FFT.plan(48) eq here)
+    var other: FFT.Plan = null
+    var largest = 0
+    val t = new Thread(() => {
+      other = FFT.plan(48)
+      (1 to 3 * FFT.MaxCachedLengths).foreach { n =>
+        FFT.plan(n)
+        largest = math.max(largest, FFT.cachedLengths)
+      }
+    })
+    t.start(); t.join()
+    assert(other != null && !(other eq here))
+    assert(largest == FFT.MaxCachedLengths)
   }
 }

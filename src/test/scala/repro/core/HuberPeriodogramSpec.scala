@@ -173,16 +173,77 @@ class HuberPeriodogramSpec extends AnyFunSuite {
         "1e-6-scale data" -> tiny, "spiked sine" -> spiked).map { case (s, v) => s -> padded(v) }
   }
 
+  /** The production solver agrees with 3000-step ADMM at each of `ks`. */
+  private def assertMatchesAdmm(x: Array[Double], ks: Seq[Int]): Unit = {
+    val n     = x.length
+    val floor = 1e-6 * x.map(v => v * v).sum / n // mean power: the near-zero-ordinate floor
+    val sp    = HuberPeriodogram.huberFull(x, 1.345)
+    ks.foreach { k =>
+      val want = HuberAdmm.huberAtK(x, k, 1.345, maxIter = 3000, tol = 0.0)
+      assert(math.abs(sp(k) - want) <= 1e-6 * math.max(want, floor), s"k=$k: ${sp(k)} vs ADMM $want")
+    }
+  }
+
   for ((name, x) <- oracleInputs) {
     test(s"Newton/IRLS matches the ADMM oracle to 1e-6 relative: $name") {
-      val n     = x.length
-      val floor = 1e-6 * x.map(v => v * v).sum / n // mean power: the near-zero-ordinate floor
-      val ks    = Seq(1, 7, 20, 40, 41, 100, 199, 250, 301, 399)
-      val sp    = HuberPeriodogram.huberFull(x, 1.345)
-      ks.foreach { k =>
-        val want = HuberAdmm.huberAtK(x, k, 1.345, maxIter = 3000, tol = 0.0)
-        assert(math.abs(sp(k) - want) <= 1e-6 * math.max(want, floor), s"k=$k: ${sp(k)} vs ADMM $want")
-      }
+      assertMatchesAdmm(x, Seq(1, 7, 20, 40, 41, 100, 199, 250, 301, 399))
+    }
+  }
+
+  // Zero-padded inputs take the closed-form tail while ‖β‖ ≤ ζ; these
+  // cover both sides of that condition and its input check.
+  private val tailInputs: Seq[(String, Array[Double], Seq[Int])] = {
+    val n = 400
+    // Amplitude-4 sine (β ≈ 2 after padding) with 10% gross outliers: at
+    // the peak k = 32 ‖β‖ stays above ζ; at k = 31 it starts above and
+    // ends below.
+    val crossing = {
+      val r = new Random(17)
+      padded(Array.tabulate(n)(t => 4 * math.sin(2 * math.Pi * t / 25) + 0.3 * r.nextGaussian() +
+        (if (r.nextDouble() < 0.1) 30.0 * r.nextGaussian() else 0.0)))
+    }
+    val lastZero = {
+      val r = new Random(18)
+      val v = Array.tabulate(n)(t => math.cos(2 * math.Pi * t / 40) + 0.5 * r.nextGaussian())
+      v(n - 1) = 0.0
+      padded(v)
+    }
+    val notPadded = { // zero-padded but for the very last point
+      val r = new Random(19)
+      val v = padded(Array.tabulate(n)(t => math.sin(2 * math.Pi * t / 16) + 0.5 * r.nextGaussian()))
+      v(2 * n - 1) = 0.5
+      v
+    }
+    Seq(("padded, ‖β‖ crosses ζ", crossing, Seq(1, 7, 29, 30, 31, 32, 33, 34, 100, 301)),
+        ("padded, last data point 0.0", lastZero, Seq(1, 7, 20, 40, 41, 100, 199, 250, 301, 399)),
+        ("last padding point nonzero", notPadded, Seq(1, 7, 20, 49, 50, 51, 100, 250, 301, 399)))
+  }
+
+  for ((name, x, ks) <- tailInputs) {
+    test(s"Newton/IRLS matches the ADMM oracle to 1e-6 relative: $name") {
+      assertMatchesAdmm(x, ks)
+    }
+  }
+
+  test("the crossing input has ordinates whose ‖β‖ crosses ζ or ends above it") {
+    val (_, x, ks) = tailInputs.head
+    val n  = x.length
+    val vn = HuberPeriodogram.vanilla(x)
+    val hf = HuberPeriodogram.huberFull(x, 1.345)
+    def norm(p: Double) = math.sqrt(4 * p / n) // P = (n/4)‖β‖²
+    val crossed = ks.filter(k => (norm(vn(k)) - 1.345) * (norm(hf(k)) - 1.345) < 0)
+    val trace   = ks.map(k => s"$k: ${norm(vn(k))} -> ${norm(hf(k))}").mkString(", ")
+    assert(crossed.nonEmpty, trace)
+    assert(ks.exists(k => norm(hf(k)) > 1.345), trace)
+  }
+
+  test("Huber with huge ζ equals vanilla on a zero-padded input") {
+    val rnd = new Random(20)
+    val x   = padded(Array.fill(256)(rnd.nextGaussian()))
+    val vn  = HuberPeriodogram.vanilla(x)
+    for (k <- Seq(3, 10, 31, 77, 255)) {
+      val ph = huberAt(x, k, zeta = 1e9)
+      assert(math.abs(ph - vn(k)) < 1e-6 * math.max(1.0, vn(k)), s"k=$k: $ph vs ${vn(k)}")
     }
   }
 
