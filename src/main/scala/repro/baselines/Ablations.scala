@@ -5,6 +5,18 @@ import repro.core._
 /** Ablation revisions of RobustPeriod (Sec. 4.3.1). */
 object Ablations {
 
+  /** Half-range Huber periodogram (ζ = 1.345) of the preprocessed,
+    * median/MAD-standardized series zero-padded to 2N — the input both
+    * Huber ablations test.
+    */
+  private def huberPeriodogram(y: Array[Double]): Array[Double] = {
+    val n   = y.length
+    val pre = RobustStats.robustStandardize(Preprocess(y))
+    val x   = new Array[Double](2 * n)
+    System.arraycopy(pre, 0, x, 0, n)
+    HuberPeriodogram.huberFull(x, zeta = 1.345)
+  }
+
   /** Huber-Fisher: Fisher's test with the Huber-periodogram on the whole
     * (preprocessed, zero-padded) series — no MODWT decoupling, so at most
     * the single dominant period is found.
@@ -12,11 +24,8 @@ object Ablations {
   object HuberFisher extends Detector {
     val name = "Huber-Fisher"
     def detect(y: Array[Double]): Seq[Int] = {
-      val n   = y.length
-      val pre = RobustStats.robustStandardize(Preprocess(y))
-      val x   = new Array[Double](2 * n)
-      System.arraycopy(pre, 0, x, 0, n)
-      val pHalf  = HuberPeriodogram.huberFull(x, zeta = 1.345)
+      val n      = y.length
+      val pHalf  = huberPeriodogram(y)
       val fisher = FisherTest.test(pHalf)
       if (fisher.pValue < 1e-3 && fisher.kMax >= 1) {
         val per = math.round(2.0 * n / fisher.kMax).toInt
@@ -30,14 +39,10 @@ object Ablations {
     */
   object HuberSiegelACF extends Detector {
     val name = "Huber-Siegel-ACF"
-    private val siegel = new SiegelDetector()
     def detect(y: Array[Double]): Seq[Int] = {
-      val n   = y.length
-      val pre = RobustStats.robustStandardize(Preprocess(y))
-      val x   = new Array[Double](2 * n)
-      System.arraycopy(pre, 0, x, 0, n)
-      val pHalf = HuberPeriodogram.huberFull(x, zeta = 1.345)
-      val cands = siegel.detectFromPeriodogram(pHalf, 2 * n)
+      val n     = y.length
+      val pHalf = huberPeriodogram(y)
+      val cands = SiegelDetector.detectFromPeriodogram(pHalf, 2 * n)
       val acf   = HuberACF.fromPeriodogram(pHalf)
       val out   = scala.collection.mutable.ArrayBuffer.empty[Int]
       cands.foreach { c =>

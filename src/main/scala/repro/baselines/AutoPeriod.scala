@@ -7,9 +7,13 @@ import scala.util.Random
   * threshold" from permuted sequences selects candidate period hills; each
   * candidate is validated on the ACF — it must lie on a *hill* (rising
   * then falling ACF segment) — and refined to the local ACF maximum.
+  * The threshold is the 99th percentile of 100 permutations drawn from
+  * `seed`.
   */
-class AutoPeriod(nPermutations: Int = 100, percentile: Double = 0.99, seed: Long = 7)
-    extends Detrended("AUTOPERIOD") {
+class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
+
+  private val Permutations = 100
+  private val Percentile   = 0.99
 
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
     val n     = x.length
@@ -17,11 +21,11 @@ class AutoPeriod(nPermutations: Int = 100, percentile: Double = 0.99, seed: Long
     val acf   = ACF.biased(x)
     val maxima = permutationMaxima(x)
     java.util.Arrays.sort(maxima)
-    val thresh = maxima(math.min(nPermutations - 1, (percentile * nPermutations).toInt))
+    val thresh = maxima(math.min(Permutations - 1, (Percentile * Permutations).toInt))
     candidatesValidated(pHalf, acf, n, thresh)
   }
 
-  /** Permutation power threshold's samples: for each of `nPermutations`
+  /** Permutation power threshold's samples: for each of the 100
     * shuffles of x, max_{1≤k≤n/2} |X_k|²/n. Shuffling destroys periodic
     * structure while preserving the marginal distribution; the chosen
     * percentile of these maxima separates signal from noise bins.
@@ -35,7 +39,7 @@ class AutoPeriod(nPermutations: Int = 100, percentile: Double = 0.99, seed: Long
     val rnd  = new Random(seed)
     val plan = FFT.plan(n)
     val buf  = new Array[Double](2 * n)
-    Array.fill(nPermutations) {
+    Array.fill(Permutations) {
       var t = 0
       while (t < n) { buf(2 * t) = x(t); buf(2 * t + 1) = 0.0; t += 1 }
       var i = n
@@ -101,4 +105,4 @@ class AutoPeriod(nPermutations: Int = 100, percentile: Double = 0.99, seed: Long
   }
 }
 
-object AutoPeriod extends AutoPeriod(100, 0.99, 7)
+object AutoPeriod extends AutoPeriod(7)

@@ -15,21 +15,20 @@ trait Detector extends Serializable {
   def detect(x: Array[Double]): Seq[Int]
 }
 
-/** Mixin applying HP detrending (and mean removal) before detection;
-  * λ ≤ 0 selects the length-adaptive value.
+/** Mixin applying HP detrending (length-adaptive λ) and mean removal
+  * before detection.
   */
-abstract class Detrended(val name: String, lambda: Double = -1) extends Detector {
+abstract class Detrended(val name: String) extends Detector {
   final def detect(x: Array[Double]): Seq[Int] = {
-    val d = HPFilter.detrend(x, lambda)
+    val d = HPFilter.detrend(x)
     val m = d.sum / d.length
     detectDetrended(d.map(_ - m))
   }
   protected def detectDetrended(x: Array[Double]): Seq[Int]
 }
 
-/** RobustPeriod wrapped as a [[Detector]]. */
-final class RobustPeriodDetector(cfg: RobustPeriod.Config = RobustPeriod.Config())
-    extends Detector {
+/** RobustPeriod, default `Config`, wrapped as a [[Detector]]. */
+final class RobustPeriodDetector extends Detector {
   val name = "RobustPeriod"
-  def detect(x: Array[Double]): Seq[Int] = RobustPeriod.detect(x, cfg).periods
+  def detect(x: Array[Double]): Seq[Int] = RobustPeriod.detect(x).periods
 }

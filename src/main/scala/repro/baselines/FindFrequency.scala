@@ -1,5 +1,7 @@
 package repro.baselines
 
+import repro.core.RobustStats
+
 /** `findFrequency` baseline (Hyndman's R `forecast::findfrequency`):
   * remove a linear trend, fit an AR model by Yule–Walker with AIC order
   * selection, and return the period of the dominant AR spectral-density
@@ -36,15 +38,10 @@ object FindFrequency extends Detrended("findFrequency") {
     }
     // R: only accept when max spectrum > 10 (on its variance-scaled units);
     // we scale equivalently by working on standardized residuals.
-    if (bestS > 10.0 * variance(r) && bestF > 0) {
+    if (bestS > 10.0 * RobustStats.variance(r) && bestF > 0) {
       val period = math.round(1.0 / bestF).toInt
       if (period > 1 && period <= n) Seq(period) else Seq.empty
     } else Seq.empty
-  }
-
-  private def variance(x: Array[Double]): Double = {
-    val m = x.sum / x.length
-    x.map(v => (v - m) * (v - m)).sum / x.length
   }
 
   private def linearResiduals(x: Array[Double]): Array[Double] = {

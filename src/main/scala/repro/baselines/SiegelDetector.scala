@@ -12,8 +12,11 @@ import repro.core.{FisherTest, HuberPeriodogram}
   * bin) — without clustering the test would emit runs of near-identical
   * periods.
   */
-class SiegelDetector(alpha: Double = 0.05, lambda: Double = 0.6, maxPeriods: Int = 10)
-    extends Detrended("Siegel") {
+object SiegelDetector extends Detrended("Siegel") {
+
+  private val Alpha      = 0.05
+  private val Lambda     = 0.6
+  private val MaxPeriods = 10
 
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
     val n = x.length
@@ -30,8 +33,8 @@ class SiegelDetector(alpha: Double = 0.05, lambda: Double = 0.6, maxPeriods: Int
     var k   = 1
     while (k <= hi) { sum += pHalf(k); k += 1 }
     if (sum <= 0) return Seq.empty
-    val gF     = FisherTest.criticalG(alpha, hi)
-    val thresh = lambda * gF * sum
+    val gF     = FisherTest.criticalG(Alpha, hi)
+    val thresh = Lambda * gF * sum
     val sig    = (1 to hi).filter(pHalf(_) > thresh)
     if (sig.isEmpty) return Seq.empty
     // Cluster consecutive significant bins; report each cluster's peak.
@@ -51,9 +54,7 @@ class SiegelDetector(alpha: Double = 0.05, lambda: Double = 0.6, maxPeriods: Int
       .sortBy(-_._2)
       .map(_._1)
       .distinct
-      .take(maxPeriods)
+      .take(MaxPeriods)
       .toSeq
   }
 }
-
-object SiegelDetector extends SiegelDetector(0.05, 0.6, 10)

@@ -79,24 +79,4 @@ object FFT {
     plan(n).complexInverse(a)
     Array.tabulate(n)(i => a(2 * i))
   }
-
-  /** Naive O(n²) DFT — test oracle only. */
-  def naiveForward(x: Array[Double]): Array[Double] = {
-    val n   = x.length
-    val out = new Array[Double](2 * n)
-    var k   = 0
-    while (k < n) {
-      var re = 0.0; var im = 0.0
-      var t  = 0
-      while (t < n) {
-        val ang = -2 * math.Pi * k * t / n
-        re += x(t) * math.cos(ang)
-        im += x(t) * math.sin(ang)
-        t += 1
-      }
-      out(2 * k) = re; out(2 * k + 1) = im
-      k += 1
-    }
-    out
-  }
 }

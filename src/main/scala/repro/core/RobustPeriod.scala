@@ -134,13 +134,18 @@ object RobustPeriod {
       }
     }
 
-    // Dedupe near-equal periods across levels (5% tolerance), keeping the
-    // detection from the highest-variance level; preserve variance order.
-    val periods = scala.collection.mutable.ArrayBuffer.empty[Int]
-    found.sortBy(-_._2).foreach { case (p, _) =>
-      val dup = periods.exists(q => math.abs(q - p) <= math.max(1.0, 0.05 * math.min(q, p)))
-      if (!dup) periods += p
+    // Keep the detection from the highest-variance level; preserve variance order.
+    Result(dedupe(found.sortBy(-_._2).map(_._1).toSeq), levelResults.sortBy(_.level).toSeq)
+  }
+
+  /** `ranked` without near-duplicates: a period is dropped when an earlier
+    * kept one q has |p − q| ≤ max(1, 5% of min(p, q)).
+    */
+  def dedupe(ranked: Seq[Int]): Seq[Int] = {
+    val kept = scala.collection.mutable.ArrayBuffer.empty[Int]
+    ranked.foreach { p =>
+      if (!kept.exists(q => math.abs(q - p) <= math.max(1.0, 0.05 * math.min(q, p)))) kept += p
     }
-    Result(periods.toSeq, levelResults.sortBy(_.level).toSeq)
+    kept.toSeq
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
-/** Robust statistics substrate: median, MAD, biweight midvariance (Eq. 4),
-  * and the Huber loss of the Huber-periodogram (Eq. 7).
+/** Robust statistics substrate: median, MAD, biweight midvariance (Eq. 4)
+  * and median/MAD standardization.
   */
 object RobustStats {
 
@@ -63,10 +63,6 @@ object RobustStats {
     }
     if (den == 0.0) 0.0 else slice.length * num / (den * den)
   }
-
-  /** Huber loss γ_ζ (Eq. 7). */
-  def huberLoss(x: Double, zeta: Double): Double =
-    if (math.abs(x) <= zeta) 0.5 * x * x else zeta * math.abs(x) - 0.5 * zeta * zeta
 
   /** Standardize by median/MAD (σ-consistent); if MAD is zero, fall back to
     * mean/σ; a constant series maps to zeros.

@@ -8,7 +8,9 @@ import repro.synth.Datasets
 import repro.synth.TimeSeriesGen.{Sin, Square, Triangle, Waveform}
 
 /** Harness reproducing each evaluation table (Sec. 4). One method per
-  * table; bench suites and spark-submit jobs both call in here. Series
+  * table; the bench suites and `repro.jobs.TableJob` both call in here.
+  * Every table detects through [[SparkDetect.detect]]; Tables 1–5, 7 and 8
+  * score through [[EvalSql]], Table 6 forecasts from the detections. Series
   * counts default to 100 per condition (paper: 1000) — see DESIGN.md §4.
   */
 object Tables {
@@ -75,28 +77,26 @@ object Tables {
   }
 
   /** Table 6 — forecast RMSE/MAE with periods from each detector feeding
-    * the harmonic forecaster (TBATS substitute) on Yahoo-A4-like data.
+    * the harmonic forecaster (TBATS substitute) on Yahoo-A4-like data:
+    * detection on the first 840 points, forecasts at horizons 84 and 168.
     */
   final case class ForecastRow(algo: String, horizon: Int, rmse: Double, mae: Double)
 
-  def table6(spark: SparkSession, count: Int = 40, trainLen: Int = 840,
-             horizons: Seq[Int] = Seq(84, 168)): DataFrame = {
+  private val TrainLen = 840
+  private val Horizons = Seq(84, 168)
+
+  def table6(spark: SparkSession, count: Int = 40): DataFrame = {
     import spark.implicits._
-    val series    = Datasets.yahooLike(count, a4 = true, seed = 6100)
-    val detectors = multiDetectors
-    val ds = SparkDetect.toDataset(spark, series)
-    val rows = ds.mapPartitions { it =>
-      it.flatMap { s =>
-        val train = s.values.take(trainLen)
-        detectors.iterator.flatMap { d =>
-          val periods = d.detect(train)
-          val model   = HarmonicForecaster.fit(train, periods)
-          horizons.iterator.map { h =>
-            val pred   = HarmonicForecaster.forecast(model, trainLen, h)
-            val actual = s.values.slice(trainLen, trainLen + h)
-            ForecastRow(d.name, h, Metrics.rmse(pred, actual), Metrics.mae(pred, actual))
-          }
-        }
+    val series = Datasets.yahooLike(count, a4 = true, seed = 6100)
+    val train  = series.map(s => s.copy(values = s.values.take(TrainLen)))
+    val values = series.map(s => s.id -> s.values).toMap
+    val rows = SparkDetect.detect(SparkDetect.toDataset(spark, train), multiDetectors).flatMap { r =>
+      val y     = values(r.id)
+      val model = HarmonicForecaster.fit(y.take(TrainLen), r.detected.toSeq)
+      Horizons.map { h =>
+        val pred   = HarmonicForecaster.forecast(model, TrainLen, h)
+        val actual = y.slice(TrainLen, TrainLen + h)
+        ForecastRow(r.algo, h, Metrics.rmse(pred, actual), Metrics.mae(pred, actual))
       }
     }
     rows.createOrReplaceTempView("forecasts")
@@ -105,25 +105,14 @@ object Tables {
         |FROM forecasts GROUP BY algo, horizon ORDER BY algo, horizon""".stripMargin)
   }
 
-  /** Tables 7 & 8 — average runtime and F1 vs series length. */
-  def table7and8(spark: SparkSession, count: Int = 50,
-                 lengths: Seq[Int] = Seq(500, 1000, 2000)): (DataFrame, DataFrame) = {
-    val series = lengths.flatMap { n =>
+  /** Tables 7 & 8 — average runtime and F1 at series lengths 500, 1000
+    * and 2000.
+    */
+  def table7and8(spark: SparkSession, count: Int = 50): (DataFrame, DataFrame) = {
+    val series = Seq(500, 1000, 2000).flatMap { n =>
       Datasets.multiPeriod(count, Sin, 0.1, 0.01, seed = 7000 + n, n = n)
     }
     val (det, met) = run(spark, series, multiDetectors)
     (EvalSql.runtimes(det), met)
-  }
-
-  /** Pretty-print a metrics DataFrame for bench output / EXPERIMENTS.md. */
-  def render(df: DataFrame, title: String): String = {
-    val sb = new StringBuilder(s"\n=== $title ===\n")
-    df.collect().foreach { r =>
-      sb.append(r.toSeq.map {
-        case d: Double => f"$d%.3f"
-        case x         => x.toString
-      }.mkString(" | ")).append('\n')
-    }
-    sb.toString
   }
 }

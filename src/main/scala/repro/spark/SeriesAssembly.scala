@@ -25,11 +25,4 @@ object SeriesAssembly {
         SeriesRow(id, cond, values, truthB.value.getOrElse(id, Array.empty))
       }
   }
-
-  /** Inverse for tests: explode a wide dataset to long format. */
-  def toLong(ds: Dataset[SeriesRow]): DataFrame = {
-    import ds.sparkSession.implicits._
-    ds.flatMap(s => s.values.zipWithIndex.map { case (v, t) => (s.id, s.cond, t.toLong, v) })
-      .toDF("id", "cond", "t", "value")
-  }
 }

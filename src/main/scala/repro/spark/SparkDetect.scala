@@ -36,15 +36,17 @@ object SparkDetect {
   def detect(ds: Dataset[SeriesRow], detectors: Seq[Detector]): Dataset[DetectionRow] = {
     import ds.sparkSession.implicits._
     ds.mapPartitions { it =>
-      it.flatMap { s =>
-        detectors.iterator.map { d =>
-          val t0  = System.nanoTime()
-          val det = d.detect(s.values)
-          val ms  = (System.nanoTime() - t0) / 1e6
-          DetectionRow(s.id, s.cond, d.name, det.toArray, s.truth, ms)
-        }
-      }
+      it.flatMap(s => detectors.iterator.map(d => timed(d, s.id, s.cond, s.values, s.truth)))
     }
+  }
+
+  /** One detection of `values`, with its wall-clock time in milliseconds. */
+  private[spark] def timed(d: Detector, id: Long, cond: String, values: Array[Double],
+                           truth: Array[Int]): DetectionRow = {
+    val t0  = System.nanoTime()
+    val det = d.detect(values)
+    val ms  = (System.nanoTime() - t0) / 1e6
+    DetectionRow(id, cond, d.name, det.toArray, truth, ms)
   }
 
   /** Expand detections into per-tolerance score rows. */

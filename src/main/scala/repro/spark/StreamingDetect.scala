@@ -33,10 +33,7 @@ object StreamingDetect {
           if (n > 0 && acc.size >= n) {
             state.remove()
             val values = Array.tabulate(n)(t => acc.getOrElse(t.toLong, 0.0))
-            val t0  = System.nanoTime()
-            val det = detector.detect(values)
-            val ms  = (System.nanoTime() - t0) / 1e6
-            Iterator.single(DetectionRow(id, cond, detector.name, det.toArray, Array.empty, ms))
+            Iterator.single(SparkDetect.timed(detector, id, cond, values, Array.empty))
           } else {
             state.update(SeriesState(acc))
             Iterator.empty

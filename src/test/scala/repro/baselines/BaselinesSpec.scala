@@ -162,7 +162,7 @@ class AutoPeriodSpec extends AnyFunSuite {
     * boxed copy and a vanilla periodogram per permutation — the reference
     * the in-place version must reproduce bit for bit.
     */
-  private class ShuffleOracle(seed: Long) extends AutoPeriod(100, 0.99, seed) {
+  private class ShuffleOracle(seed: Long) extends AutoPeriod(seed) {
     def maxima(x: Array[Double]): Array[Double] = {
       val n   = x.length
       val rnd = new Random(seed)
@@ -182,10 +182,10 @@ class AutoPeriodSpec extends AnyFunSuite {
     test(s"in-place permutations equal Random.shuffle bit for bit (n=$n, seed=$seed)") {
       val y    = synthetic(n, Seq(20, 50), Sin, 1.0, 0.1, seed = seed + n)
       val want = new ShuffleOracle(seed).maxima(y)
-      val got  = new AutoPeriod(100, 0.99, seed).permutationMaxima(y)
+      val got  = new AutoPeriod(seed).permutationMaxima(y)
       assert(got.map(java.lang.Double.doubleToRawLongBits).toSeq ==
              want.map(java.lang.Double.doubleToRawLongBits).toSeq)
-      assert(new AutoPeriod(100, 0.99, seed).detect(y) == new ShuffleOracle(seed).detect(y))
+      assert(new AutoPeriod(seed).detect(y) == new ShuffleOracle(seed).detect(y))
     }
   }
 }

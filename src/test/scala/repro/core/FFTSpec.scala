@@ -6,12 +6,32 @@ import scala.util.Random
 
 class FFTSpec extends AnyFunSuite {
 
+  /** Naive O(n²) DFT, the oracle for `FFT.forward`. */
+  private def naiveForward(x: Array[Double]): Array[Double] = {
+    val n   = x.length
+    val out = new Array[Double](2 * n)
+    var k   = 0
+    while (k < n) {
+      var re = 0.0; var im = 0.0
+      var t  = 0
+      while (t < n) {
+        val ang = -2 * math.Pi * k * t / n
+        re += x(t) * math.cos(ang)
+        im += x(t) * math.sin(ang)
+        t += 1
+      }
+      out(2 * k) = re; out(2 * k + 1) = im
+      k += 1
+    }
+    out
+  }
+
   for (n <- Seq(2, 3, 5, 7, 8, 16, 17, 60, 100, 128, 251, 1000, 1680, 3360)) {
     test(s"forward FFT matches naive DFT (n=$n)") {
       val rnd = new Random(n)
       val x = Array.fill(n)(rnd.nextGaussian())
       val fast = FFT.forward(x)
-      val slow = FFT.naiveForward(x)
+      val slow = naiveForward(x)
       fast.indices.foreach { i =>
         assert(math.abs(fast(i) - slow(i)) < 1e-6 * math.max(1.0, n),
           s"bin $i: ${fast(i)} vs ${slow(i)}")

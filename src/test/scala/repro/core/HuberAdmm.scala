@@ -7,6 +7,10 @@ package repro.core
   */
 object HuberAdmm {
 
+  /** Huber loss γ_ζ (Eq. 7). */
+  def huberLoss(x: Double, zeta: Double): Double =
+    if (math.abs(x) <= zeta) 0.5 * x * x else zeta * math.abs(x) - 0.5 * zeta * zeta
+
   /** Proximal operator of γ_ζ/ρ: argmin_z γ_ζ(z) + (ρ/2)(z − v)². */
   def huberProx(v: Double, zeta: Double, rho: Double): Double =
     if (math.abs(v) <= zeta * (1.0 + rho) / rho) rho * v / (1.0 + rho)

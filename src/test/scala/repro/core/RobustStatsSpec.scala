@@ -62,14 +62,14 @@ class RobustStatsSpec extends AnyFunSuite {
   }
 
   test("Huber loss: quadratic inside, linear outside") {
-    assert(RobustStats.huberLoss(1.0, 2.0) == 0.5)
-    assert(RobustStats.huberLoss(3.0, 2.0) == 2.0 * 3.0 - 2.0)
-    assert(RobustStats.huberLoss(-3.0, 2.0) == RobustStats.huberLoss(3.0, 2.0))
+    assert(HuberAdmm.huberLoss(1.0, 2.0) == 0.5)
+    assert(HuberAdmm.huberLoss(3.0, 2.0) == 2.0 * 3.0 - 2.0)
+    assert(HuberAdmm.huberLoss(-3.0, 2.0) == HuberAdmm.huberLoss(3.0, 2.0))
   }
 
   test("Huber loss is continuous at ±ζ") {
     val z = 1.345
-    assert(math.abs(RobustStats.huberLoss(z - 1e-9, z) - RobustStats.huberLoss(z + 1e-9, z)) < 1e-6)
+    assert(math.abs(HuberAdmm.huberLoss(z - 1e-9, z) - HuberAdmm.huberLoss(z + 1e-9, z)) < 1e-6)
   }
 
   test("robustStandardize: zero median and ~unit scale") {

@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.{Oracle, SparkSpec}
 import repro.baselines._
 import repro.eval.{Scoring, Tables}
@@ -80,11 +81,18 @@ class SparkDetectSpec extends SparkSpec {
 
 class SeriesAssemblySpec extends SparkSpec {
 
+  /** Inverse of `SeriesAssembly.fromLong`: explode a wide dataset to long format. */
+  private def toLong(ds: Dataset[SeriesRow]): DataFrame = {
+    import ds.sparkSession.implicits._
+    ds.flatMap(s => s.values.zipWithIndex.map { case (v, t) => (s.id, s.cond, t.toLong, v) })
+      .toDF("id", "cond", "t", "value")
+  }
+
   test("long → wide assembly reconstructs the original values in order") {
     import spark.implicits._
     val series = Datasets.singlePeriodSin(4, 0.1, 0.01, seed = 77, n = 200)
     val wide = SparkDetect.toDataset(spark, series)
-    val long = SeriesAssembly.toLong(wide)
+    val long = toLong(wide)
     // Shuffle row order to prove sort-on-assembly works.
     val shuffled = long.orderBy($"value")
     val truth = series.map(s => s.id -> s.truth).toMap
@@ -99,7 +107,7 @@ class SeriesAssemblySpec extends SparkSpec {
   test("assembly row count via SQL matches DuckDB (oracle)") {
     import spark.implicits._
     val series = Datasets.singlePeriodSin(3, 0.1, 0.01, seed = 88, n = 50)
-    val long = SeriesAssembly.toLong(SparkDetect.toDataset(spark, series)).cache()
+    val long = toLong(SparkDetect.toDataset(spark, series)).cache()
     long.createOrReplaceTempView("longpts")
     val sql = "SELECT id, COUNT(*) AS npts, MIN(CAST(t AS BIGINT)) AS tmin, MAX(CAST(t AS BIGINT)) AS tmax FROM longpts GROUP BY id ORDER BY id"
     val agg = spark.sql(sql)
@@ -108,7 +116,7 @@ class SeriesAssemblySpec extends SparkSpec {
 
   test("detection after assembly equals detection on original arrays") {
     val series = Datasets.singlePeriodSin(3, 0.1, 0.01, seed = 99)
-    val long = SeriesAssembly.toLong(SparkDetect.toDataset(spark, series))
+    val long = toLong(SparkDetect.toDataset(spark, series))
     val truth = series.map(s => s.id -> s.truth).toMap
     val assembled = SeriesAssembly.fromLong(long, truth)
     val det = SparkDetect.detect(assembled, Seq(Tables.robust)).collect().sortBy(_.id)
