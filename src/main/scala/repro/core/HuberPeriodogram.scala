@@ -24,10 +24,27 @@ object HuberPeriodogram {
 
   /** Half-range periodogram (indices 0..n/2) with the exact Huber
     * M-estimate on `exactBand` (inclusive index range) and the vanilla
-    * periodogram elsewhere.
+    * periodogram elsewhere: [[Spliced]] with both parities solved.
+    */
+  def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double,
+              maxIter: Int = 50): Array[Double] = {
+    val sp = new Spliced(x, exactBand, zeta, maxIter)
+    sp.solveEven()
+    sp.solveOdd()
+  }
+
+  /** Exact Huber M-periodogram at every index 0..n/2 (used by ablations). */
+  def huberFull(x: Array[Double], zeta: Double, maxIter: Int = 50): Array[Double] =
+    spliced(x, (1, x.length / 2), zeta, maxIter)
+
+  /** The spliced periodogram of one series, its exact band solved one
+    * parity at a time: each exact ordinate is solved independently of the
+    * others, so a caller that reads only even ordinates can skip the odd
+    * ones, and solving both gives the same array in either order.
     *
-    * One FFT serves both the vanilla ordinates and each exact ordinate's
-    * least-squares warm start: for 0 < k < n/2, φᵀφ = (n/2)·I, so
+    * One FFT serves the vanilla ordinates, each exact ordinate's
+    * least-squares warm start and its closed-form sums: for 0 < k < n/2,
+    * φᵀφ = (n/2)·I and φᵀx = (Re X_k, −Im X_k), so
     * β_LS = (2·Re X_k, −2·Im X_k)/n. At k = 0 and the Nyquist index the
     * regressor pair is degenerate, and the ordinate stays vanilla.
     * Every exact ordinate reads the length-n plan's cos/sin(2πm/n) table
@@ -35,33 +52,75 @@ object HuberPeriodogram {
     * rotation recurrence. `maxIter` caps the solver's passes over the data
     * per ordinate.
     */
-  def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double,
-              maxIter: Int = 50): Array[Double] = {
-    val n    = x.length
-    val half = n / 2
-    val spec = FFT.forward(x)
-    val out  = power(spec, n, half + 1)
-    val lo   = math.max(1, exactBand._1)
-    val hi   = math.min((n - 1) / 2, exactBand._2)
-    if (lo <= hi) {
-      val plan     = FFT.plan(n)
-      val zeroTail = n % 2 == 0 && (half until n).forall(x(_) == 0.0)
-      var k        = lo
-      while (k <= hi) {
-        out(k) = huberAtK(x, plan.cos, plan.sin, k, zeta, maxIter, zeroTail,
-                          2.0 * spec(2 * k) / n, -2.0 * spec(2 * k + 1) / n)
-        k += 1
-      }
+  final class Spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double, maxIter: Int) {
+    private val n    = x.length
+    private val spec = FFT.forward(x)
+    private val lo   = math.max(1, exactBand._1)
+    private val hi   = math.min((n - 1) / 2, exactBand._2)
+
+    /** Indices 0..n/2: vanilla until a parity's exact ordinates are solved. */
+    val periodogram: Array[Double] = power(spec, n, n / 2 + 1)
+
+    // The solver's screening order, and sq(i) = Σ x_t² over the first i
+    // keys, summed smallest first; built once per series if the band is
+    // not empty.
+    private val keys: Array[Long] = if (lo <= hi) screeningOrder(x) else Array.emptyLongArray
+    private val sq: Array[Double] = {
+      val s = new Array[Double](keys.length + 1)
+      var i = 0
+      while (i < keys.length) { val v = x(keys(i).toInt); s(i + 1) = s(i) + v * v; i += 1 }
+      s
     }
-    out
+
+    /** Solves the even exact ordinates; returns [[periodogram]]. */
+    def solveEven(): Array[Double] = solve(0)
+
+    /** Solves the odd exact ordinates; returns [[periodogram]]. */
+    def solveOdd(): Array[Double] = solve(1)
+
+    private def solve(parity: Int): Array[Double] = {
+      if (lo <= hi) {
+        val plan = FFT.plan(n)
+        var k    = if ((lo & 1) == parity) lo else lo + 1
+        while (k <= hi) {
+          periodogram(k) = huberAtK(x, plan.cos, plan.sin, keys, sq, k, zeta, maxIter,
+                                    spec(2 * k), -spec(2 * k + 1))
+          k += 2
+        }
+      }
+      periodogram
+    }
   }
 
-  /** Exact Huber M-periodogram at every index 0..n/2 (used by ablations). */
-  def huberFull(x: Array[Double], zeta: Double, maxIter: Int = 50): Array[Double] =
-    spliced(x, (1, x.length / 2), zeta, maxIter)
+  /** The nonzero points of `x` as ascending keys
+    * (bits of |x_t| rounded up to a float) << 32 | t. A nonnegative float's
+    * bits order as its value, so the keys order the points by an upper
+    * bound on |x_t|, ties by t.
+    */
+  private def screeningOrder(x: Array[Double]): Array[Long] = {
+    var nnz = 0
+    var t   = 0
+    while (t < x.length) { if (x(t) != 0.0) nnz += 1; t += 1 }
+    val keys = new Array[Long](nnz)
+    var i = 0
+    t = 0
+    while (t < x.length) {
+      val a = math.abs(x(t))
+      if (a != 0.0) {
+        var f = a.toFloat
+        if (f < a) f = Math.nextUp(f)
+        keys(i) = (java.lang.Float.floatToRawIntBits(f).toLong << 32) | t
+        i += 1
+      }
+      t += 1
+    }
+    java.util.Arrays.sort(keys)
+    keys
+  }
 
   /** P^M_k = (n/4)·‖β̂‖² with β̂ = argmin f(β) = Σ_t γ_ζ(φ_t β − x_t),
-    * φ_t = [cos(2πkt/n), sin(2πkt/n)], started at the least-squares β.
+    * φ_t = [cos(2πkt/n), sin(2πkt/n)], 0 < k < n/2, started at the
+    * least-squares β = 2·(c1, c2)/n, where (c1, c2) = Σ_t φ_t x_t.
     *
     * Each iteration is one pass over the data at the current β that sums
     * the objective f, the gradient g = Σ φ ψ(r), the Newton Hessian
@@ -75,18 +134,22 @@ object HuberPeriodogram {
     * Otherwise stops when ‖Δβ‖ ≤ 1e-12·(1 + ‖β‖) or after `maxIter`
     * passes.
     *
-    * `zeroTail` says that n is even and x_t = 0 for t ≥ n/2, the shape of
-    * a zero-padded level series. The tail's regressors then sum to
-    * Σ_{t≥n/2} φ_tφ_tᵀ = (n/4)·I for 0 < k < n/2, and at an iterate with
-    * ‖β‖ ≤ ζ every tail residual |φ_t β| ≤ ‖β‖ is an inlier, so the tail
-    * adds (n/8)‖β‖² to f, (n/4)·β to g and (n/4)·I to both Hessians in
-    * closed form and the pass covers t < n/2 only.
+    * Safe inlier screening: at an iterate with ‖β‖ ≤ ζ every point with
+    * |x_t| ≤ ζ − ‖β‖ is an inlier, as |φ_tβ − x_t| ≤ ‖β‖ + |x_t|. A pass
+    * there certifies every zero and the prefix of `keys` whose upper bound
+    * on |x_t| is at most ζ − ‖β‖, and takes their least-squares sums in
+    * closed form: the totals Σ_t φ_tφ_tᵀ = (n/2)·I and Σ_t φ_t x_t = c less
+    * the visited points' terms, and Σ x_t² from `sq`. It visits only the
+    * rest of `keys`, each point as the full pass would. The certified part
+    * of f is summed from the small points' x_t², so large outliers do not
+    * cancel in it. An iterate with ‖β‖ > ζ certifies no point and takes
+    * the full pass over t = 0..n−1.
     */
   private def huberAtK(x: Array[Double], cos: Array[Double], sin: Array[Double],
-                       k: Int, zeta: Double, maxIter: Int, zeroTail: Boolean,
-                       ls1: Double, ls2: Double): Double = {
+                       keys: Array[Long], sq: Array[Double], k: Int, zeta: Double,
+                       maxIter: Int, c1: Double, c2: Double): Double = {
     val n = x.length
-    val q = n / 4.0
+    val ls1 = 2.0 * c1 / n; val ls2 = 2.0 * c2 / n
     // Last accepted iterate, its objective and its IRLS step.
     var a1 = ls1; var a2 = ls2
     var fa = Double.PositiveInfinity
@@ -100,35 +163,65 @@ object HuberPeriodogram {
       var f = 0.0; var g1 = 0.0; var g2 = 0.0
       var n11 = 0.0; var n12 = 0.0; var n22 = 0.0
       var w11 = 0.0; var w12 = 0.0; var w22 = 0.0
-      val bb  = b1 * b1 + b2 * b2
-      val end = if (zeroTail && bb <= zeta * zeta) {
-        f = q / 2 * bb
-        g1 = q * b1; g2 = q * b2
-        n11 = q; n22 = q
-        w11 = q; w22 = q
-        n / 2
-      } else n
-      var t = 0; var idx = 0
-      while (t < end) {
-        val c = cos(idx); val s = sin(idx)
-        val r = c * b1 + s * b2 - x(t)
-        val cc = c * c; val cs = c * s; val ss = s * s
-        if (math.abs(r) <= zeta) {
-          f += 0.5 * r * r
-          g1 += c * r; g2 += s * r
-          n11 += cc; n12 += cs; n22 += ss
-          w11 += cc; w12 += cs; w22 += ss
-        } else {
-          val ar = math.abs(r)
-          val psi = if (r > 0) zeta else -zeta
-          f += zeta * ar - 0.5 * zeta * zeta
-          g1 += c * psi; g2 += s * psi
-          val w = zeta / ar
-          w11 += w * cc; w12 += w * cs; w22 += w * ss
+      val bb = b1 * b1 + b2 * b2
+      if (bb <= zeta * zeta) {
+        // Certified points' Σφφᵀ and Σφx: the totals less the visited ones'.
+        var p11 = n / 2.0; var p12 = 0.0; var p22 = n / 2.0
+        var q1 = c1; var q2 = c2
+        val certified = zeta - math.sqrt(bb)
+        var i = keys.length - 1
+        while (i >= 0 && java.lang.Float.intBitsToFloat((keys(i) >>> 32).toInt) > certified) {
+          val t = keys(i).toInt
+          val idx = ((k.toLong * t) % n).toInt
+          val c = cos(idx); val s = sin(idx)
+          val r = c * b1 + s * b2 - x(t)
+          val cc = c * c; val cs = c * s; val ss = s * s
+          p11 -= cc; p12 -= cs; p22 -= ss
+          q1 -= c * x(t); q2 -= s * x(t)
+          if (math.abs(r) <= zeta) {
+            f += 0.5 * r * r
+            g1 += c * r; g2 += s * r
+            n11 += cc; n12 += cs; n22 += ss
+            w11 += cc; w12 += cs; w22 += ss
+          } else {
+            val ar = math.abs(r)
+            val psi = if (r > 0) zeta else -zeta
+            f += zeta * ar - 0.5 * zeta * zeta
+            g1 += c * psi; g2 += s * psi
+            val w = zeta / ar
+            w11 += w * cc; w12 += w * cs; w22 += w * ss
+          }
+          i -= 1
         }
-        t += 1
-        idx += k
-        if (idx >= n) idx -= n
+        // The certified points: keys 0..i and the zeros, all inliers.
+        val pb1 = p11 * b1 + p12 * b2; val pb2 = p12 * b1 + p22 * b2
+        f += 0.5 * (b1 * pb1 + b2 * pb2 - 2.0 * (b1 * q1 + b2 * q2) + sq(i + 1))
+        g1 += pb1 - q1; g2 += pb2 - q2
+        n11 += p11; n12 += p12; n22 += p22
+        w11 += p11; w12 += p12; w22 += p22
+      } else {
+        var t = 0; var idx = 0
+        while (t < n) {
+          val c = cos(idx); val s = sin(idx)
+          val r = c * b1 + s * b2 - x(t)
+          val cc = c * c; val cs = c * s; val ss = s * s
+          if (math.abs(r) <= zeta) {
+            f += 0.5 * r * r
+            g1 += c * r; g2 += s * r
+            n11 += cc; n12 += cs; n22 += ss
+            w11 += cc; w12 += cs; w22 += ss
+          } else {
+            val ar = math.abs(r)
+            val psi = if (r > 0) zeta else -zeta
+            f += zeta * ar - 0.5 * zeta * zeta
+            g1 += c * psi; g2 += s * psi
+            val w = zeta / ar
+            w11 += w * cc; w12 += w * cs; w22 += w * ss
+          }
+          t += 1
+          idx += k
+          if (idx >= n) idx -= n
+        }
       }
       it += 1
       var d1 = i1; var d2 = i2 // a rejected iterate retries a's IRLS step
@@ -150,6 +243,6 @@ object HuberPeriodogram {
       done ||= !(math.hypot(d1, d2) > 1e-12 * (1.0 + math.hypot(a1, a2)))
       b1 = a1 + d1; b2 = a2 + d2
     }
-    q * (a1 * a1 + a2 * a2)
+    n / 4.0 * (a1 * a1 + a2 * a2)
   }
 }

@@ -47,9 +47,20 @@ object RobustPeriod {
   /** `periods` are ranked by the wavelet variance of the level that found them. */
   final case class Result(periods: Seq[Int], levels: Seq[LevelResult])
 
+  /** Detects the periods of `y`.
+    *
+    * Input contract: `y` holds at least 16 values, all finite. A shorter
+    * series, or a NaN or ±Inf value, is rejected with an
+    * `IllegalArgumentException` (which names the first non-finite index);
+    * missing points must be filled before detection. A constant series
+    * yields no periods.
+    */
   def detect(y: Array[Double], cfg: Config = Config()): Result = {
     val n = y.length
     require(n >= 16, "series too short")
+    var bad = 0
+    while (bad < n && java.lang.Double.isFinite(y(bad))) bad += 1
+    require(bad == n, s"non-finite value ${y(bad)} at index $bad")
     val pre = Preprocess(y, cfg.hpLambda, cfg.clipC)
     val j   = MODWT.defaultLevels(n, cfg.waveletOrder, cfg.maxLevels)
     val dec = MODWT.transform(pre, j, cfg.waveletOrder)
@@ -80,11 +91,11 @@ object RobustPeriod {
         System.arraycopy(w, 0, x, 0, n)
         val nP = 2 * n
         val band = (nP / (1 << (lvl + 1)), nP / (1 << lvl))
-        val pHalf =
-          if (cfg.useHuberPeriodogram)
-            HuberPeriodogram.spliced(x, band, cfg.huberZeta, cfg.admmIter)
-          else
-            HuberPeriodogram.vanilla(x).take(n + 1)
+        // Only the even ordinates are solved before the Fisher test; the
+        // odd ones feed only kMax and the Huber-ACF of a significant level.
+        val huber = Option.when(cfg.useHuberPeriodogram)(
+          new HuberPeriodogram.Spliced(x, band, cfg.huberZeta, cfg.admmIter))
+        val pHalf = huber.fold(HuberPeriodogram.vanilla(x).take(n + 1))(_.solveEven())
         // Significance from EVEN ordinates only: X_padded(2k) equals the
         // unpadded DFT, so those ordinates are i.i.d. under the white-noise
         // null (odd, interpolated ordinates are correlated with their
@@ -115,16 +126,17 @@ object RobustPeriod {
           if (hi - lo + 1 < minOrd) hi = math.min(n / 2, lo + minOrd - 1)
         }
         val fisher = FisherTest.test(even, kFrom = lo, kTo = hi)
-        var kMax = 1
-        var best = -1.0
-        var kk   = 1
-        while (kk < pHalf.length) {
-          if (pHalf(kk) > best) { best = pHalf(kk); kMax = kk }
-          kk += 1
-        }
         if (fisher.pValue >= cfg.fisherAlpha) {
           levelResults += LevelResult(lvl, v, fisher.pValue, 0.0, 0)
         } else {
+          huber.foreach(_.solveOdd())
+          var kMax = 1
+          var best = -1.0
+          var kk   = 1
+          while (kk < pHalf.length) {
+            if (pHalf(kk) > best) { best = pHalf(kk); kMax = kk }
+            kk += 1
+          }
           val candPeriod = nP.toDouble / kMax
           val acf = HuberACF.fromPeriodogram(pHalf)
           val fin = HuberACF.validate(acf, kMax, nP, cfg.acfMinHeight)

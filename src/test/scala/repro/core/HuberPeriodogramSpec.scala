@@ -149,7 +149,8 @@ class HuberPeriodogramSpec extends AnyFunSuite {
   /** Level-style input: `n` points zero-padded to N' = 2n. */
   private def padded(v: Array[Double]): Array[Double] = v ++ new Array[Double](v.length)
 
-  private val oracleInputs: Seq[(String, Array[Double])] = {
+  /** The oracle series, 400 points each, before padding. */
+  private val oracleSeries: Seq[(String, Array[Double])] = {
     val n = 400
     def rnd(seed: Int) = new Random(seed)
     val gauss = { val r = rnd(11); Array.fill(n)(r.nextGaussian()) }
@@ -170,8 +171,11 @@ class HuberPeriodogramSpec extends AnyFunSuite {
       Array.tabulate(n)(t => 10 * math.sin(2 * math.Pi * t / 20) + (if (r.nextDouble() < 0.1) 1e3 else 0.0))
     }
     Seq("Gaussian" -> gauss, "40% gross outliers" -> gross, "sparse impulses" -> impulses,
-        "1e-6-scale data" -> tiny, "spiked sine" -> spiked).map { case (s, v) => s -> padded(v) }
+        "1e-6-scale data" -> tiny, "spiked sine" -> spiked)
   }
+
+  private val oracleInputs: Seq[(String, Array[Double])] =
+    oracleSeries.map { case (s, v) => s -> padded(v) }
 
   /** The production solver agrees with 3000-step ADMM at each of `ks`. */
   private def assertMatchesAdmm(x: Array[Double], ks: Seq[Int]): Unit = {
@@ -190,8 +194,20 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     }
   }
 
-  // Zero-padded inputs take the closed-form tail while ‖β‖ ≤ ζ; these
-  // cover both sides of that condition and its input check.
+  // Unpadded inputs have no zeros, so a screened pass certifies only points
+  // the bound |x_t| ≤ ζ − ‖β‖ covers; n = 399 checks the closed-form sums
+  // at the top ordinate (n − 1)/2 of an odd length.
+  for ((name, v) <- oracleSeries) {
+    test(s"Newton/IRLS matches the ADMM oracle to 1e-6 relative: $name, unpadded") {
+      assertMatchesAdmm(v, Seq(1, 7, 20, 40, 41, 100, 150, 199))
+    }
+    test(s"Newton/IRLS matches the ADMM oracle to 1e-6 relative: $name, unpadded, n = 399") {
+      assertMatchesAdmm(v.take(399), Seq(1, 7, 20, 40, 41, 100, 150, 199))
+    }
+  }
+
+  // Zero-padded inputs: zeros are certified while ‖β‖ ≤ ζ and take the
+  // full pass otherwise; these cover both sides of that condition.
   private val tailInputs: Seq[(String, Array[Double], Seq[Int])] = {
     val n = 400
     // Amplitude-4 sine (β ≈ 2 after padding) with 10% gross outliers: at
@@ -254,6 +270,65 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     for (k <- Seq(1, 997, 12345, 19999)) {
       val ph = huberAt(x, k, zeta = 1e9)
       assert(math.abs(ph - vn(k)) <= 1e-9 * vn(k), s"k=$k: $ph vs ${vn(k)}")
+    }
+  }
+
+  /** Amplitude-2 sine (period 36) with 25% outliers: at k = 23 (N' = 800)
+    * ‖β‖ rises from the least-squares start and then falls, all below ζ,
+    * so the screened passes' candidate sets grow and then shrink.
+    */
+  private val growShrink: (Array[Double], Int) = {
+    val r = new Random(21)
+    padded(Array.tabulate(400)(t => 2 * math.sin(2 * math.Pi * t / 36) + 0.3 * r.nextGaussian() +
+      (if (r.nextDouble() < 0.25) 11 * r.nextGaussian() else 0.0))) -> 23
+  }
+
+  test("the grow-shrink input's candidate set grows and then shrinks across passes") {
+    val (x, k) = growShrink
+    // ‖β‖ of the iterate accepted after m passes, from P = (n/4)‖β‖²; each
+    // was the iterate of one pass, whose candidates are |x_t| > ζ − ‖β‖.
+    val norms = (1 to 8).map(m => math.sqrt(4 * HuberPeriodogram.spliced(x, (k, k), 1.345, m)(k) / x.length))
+    val cands = norms.map(b => x.count(v => math.abs(v) > 1.345 - b))
+    val peak  = cands.indexOf(cands.max)
+    assert(norms.forall(_ <= 1.345), norms)
+    assert(cands.take(peak).exists(_ < cands(peak)) && cands.drop(peak).exists(_ < cands(peak)), cands)
+  }
+
+  test("Newton/IRLS matches the ADMM oracle to 1e-6 relative: candidate set grows then shrinks") {
+    val (x, k) = growShrink
+    assertMatchesAdmm(x, Seq(1, k - 2, k - 1, k, k + 1, k + 2, 100, 301))
+  }
+
+  private def bits(p: Array[Double]): Seq[Long] = p.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  // Each exact ordinate is solved independently of the others, so the
+  // detector may solve the even ones, test, and fill the odd ones only for
+  // a significant level, and get what `spliced` gives.
+  private val parityInputs: Seq[(String, Array[Double], (Int, Int))] = {
+    val r = new Random(22)
+    def noisySine(n: Int, period: Double) =
+      Array.tabulate(n)(t => math.sin(2 * math.Pi * t / period) + 0.5 * r.nextGaussian() +
+        (if (r.nextDouble() < 0.05) 20 * r.nextGaussian() else 0.0))
+    Seq(("padded n=800, one octave", padded(noisySine(400, 25)), (25, 50)),
+        ("padded n=2000, band past n/2", padded(noisySine(1000, 40)), (500, 1000)),
+        ("unpadded n=401, every ordinate", noisySine(401, 16), (1, 200)),
+        ("unpadded n=333, odd lower edge", noisySine(333, 12), (17, 166)),
+        ("padded n=3360, deep band", padded(noisySine(1680, 168)), (3, 14)))
+  }
+
+  for ((name, x, band) <- parityInputs) {
+    test(s"even pass then odd fill equals spliced bitwise: $name") {
+      val want = HuberPeriodogram.spliced(x, band, 1.345)
+      val vn   = HuberPeriodogram.vanilla(x)
+      val sp   = new HuberPeriodogram.Spliced(x, band, 1.345, 50)
+      val even = sp.solveEven().clone()
+      val half = x.length / 2
+      assert(bits(even) == bits(Array.tabulate(half + 1)(k => if (k % 2 == 0) want(k) else vn(k))))
+      assert(bits(sp.solveOdd()) == bits(want))
+      val lo = math.max(1, band._1); val hi = math.min((x.length - 1) / 2, band._2)
+      for (k <- Seq(lo, lo + 1, (lo + hi) / 2, hi))
+        assert(bits(Array(HuberPeriodogram.spliced(x, (k, k), 1.345)(k))) == bits(Array(want(k))), s"k=$k")
+      assert((lo to hi).exists(k => want(k) != vn(k)))
     }
   }
 }

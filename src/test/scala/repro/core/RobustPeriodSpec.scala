@@ -1,7 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.synth.Datasets
 import repro.synth.TimeSeriesGen._
+import repro.wavelet.MODWT
 
 class RobustPeriodSpec extends AnyFunSuite {
 
@@ -124,5 +129,95 @@ class RobustPeriodSpec extends AnyFunSuite {
   test("detection is deterministic") {
     val y = synthetic(1000, Seq(20, 50), Sin, 0.5, 0.05, seed = 805)
     assert(RobustPeriod.detect(y).periods == RobustPeriod.detect(y).periods)
+  }
+
+  for ((name, bad) <- Seq("NaN" -> Double.NaN, "+Inf" -> Double.PositiveInfinity,
+                          "-Inf" -> Double.NegativeInfinity)) {
+    test(s"a $name value is rejected with the first bad index") {
+      val y = synthetic(1000, Seq(20, 50, 100), Sin, 0.1, 0.01, seed = 806)
+      y(321) = bad; y(700) = bad
+      val e = intercept[IllegalArgumentException](RobustPeriod.detect(y))
+      assert(e.getMessage.contains("at index 321"), e.getMessage)
+    }
+  }
+
+  /** One series of the Table 2 mix: sin3 mild, sin3 moderate, Yahoo-A3-like, Yahoo-A4-like. */
+  private def table2Series(cond: Int, seed: Long): Array[Double] = (cond match {
+    case 0 => Datasets.multiPeriod(1, Sin, 0.1, 0.01, seed = seed)
+    case 1 => Datasets.multiPeriod(1, Sin, 1.0, 0.1, seed = seed)
+    case 2 => Datasets.yahooLike(1, a4 = false, seed = seed)
+    case _ => Datasets.yahooLike(1, a4 = true, seed = seed)
+  }).head.values
+
+  test("the same periods under a·y + b, a ∈ [1e-3, 1e3], b ∈ [-1e4, 1e4] (Table 2 series)") {
+    val cases = for {
+      cond <- Gen.choose(0, 3)
+      seed <- Gen.choose(0L, 100000L)
+      logA <- Gen.choose(-3.0, 3.0)
+      b    <- Gen.choose(-1e4, 1e4)
+    } yield (cond, seed, math.pow(10, logA), b)
+    val prop = Prop.forAllNoShrink(cases) { case (cond, seed, a, b) =>
+      val y    = table2Series(cond, seed)
+      val want = RobustPeriod.detect(y).periods
+      val got  = RobustPeriod.detect(y.map(v => a * v + b)).periods
+      (got == want) :| s"cond $cond seed $seed a $a b $b: $got vs $want"
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(40).withWorkers(1)
+      .withInitialSeed(Seed(20210620L))
+    val res = Check.check(params, prop)
+    assert(res.passed, res.status)
+  }
+
+  /** The detector as it was before the odd ordinates were deferred: every
+    * exact ordinate of a level solved before its Fisher test.
+    */
+  private def detectAllOrdinates(y: Array[Double]): RobustPeriod.Result = {
+    val cfg = RobustPeriod.Config()
+    val n   = y.length
+    val pre = Preprocess(y, cfg.hpLambda, cfg.clipC)
+    val j   = MODWT.defaultLevels(n, cfg.waveletOrder, cfg.maxLevels)
+    val dec = MODWT.transform(pre, j, cfg.waveletOrder)
+    val l1  = 2 * cfg.waveletOrder
+    val variances = (1 to j).map { lvl =>
+      val from = math.min(MODWT.filterWidth(l1, lvl) - 1, 3 * n / 4)
+      RobustStats.biweightMidvariance(dec.w(lvl - 1), from)
+    }
+    val totalVar = variances.sum
+    val levels = scala.collection.mutable.ArrayBuffer.empty[RobustPeriod.LevelResult]
+    val found  = scala.collection.mutable.ArrayBuffer.empty[(Int, Double)]
+    for (lvl <- (1 to j).sortBy(lvl => -variances(lvl - 1))) {
+      val v = variances(lvl - 1)
+      if (totalVar > 0 && v < cfg.minVarianceFraction * totalVar) {
+        levels += RobustPeriod.LevelResult(lvl, v, 1.0, 0.0, 0)
+      } else {
+        val x  = RobustStats.robustStandardize(dec.w(lvl - 1)) ++ new Array[Double](n)
+        val nP = 2 * n
+        val band  = (nP / (1 << (lvl + 1)), nP / (1 << lvl))
+        val pHalf = HuberPeriodogram.spliced(x, band, cfg.huberZeta, cfg.admmIter)
+        val even  = Array.tabulate(n / 2 + 1)(i => pHalf(2 * i))
+        var lo = math.max(1, (band._1 + 1) / 2)
+        var hi = math.min(n / 2, band._2 / 2)
+        if (hi - lo + 1 < 16) {
+          lo = math.max(1, hi - 15)
+          if (hi - lo + 1 < 16) hi = math.min(n / 2, lo + 15)
+        }
+        val fisher = FisherTest.test(even, kFrom = lo, kTo = hi)
+        val kMax   = (1 until pHalf.length).foldLeft(1)((m, k) => if (pHalf(k) > pHalf(m)) k else m)
+        if (fisher.pValue >= cfg.fisherAlpha) levels += RobustPeriod.LevelResult(lvl, v, fisher.pValue, 0.0, 0)
+        else {
+          val fin = HuberACF.validate(HuberACF.fromPeriodogram(pHalf), kMax, nP, cfg.acfMinHeight)
+          fin.foreach(p => found += ((p, v)))
+          levels += RobustPeriod.LevelResult(lvl, v, fisher.pValue, nP.toDouble / kMax, fin.getOrElse(0))
+        }
+      }
+    }
+    RobustPeriod.Result(RobustPeriod.dedupe(found.sortBy(-_._2).map(_._1).toSeq), levels.sortBy(_.level).toSeq)
+  }
+
+  test("detect equals the all-ordinates level loop on Table 2 series") {
+    for (cond <- 0 to 3; seed <- Seq(23L, 2300L, 47L, 4711L)) {
+      val y = table2Series(cond, seed)
+      assert(RobustPeriod.detect(y) == detectAllOrdinates(y), s"cond $cond seed $seed")
+    }
   }
 }
