@@ -24,13 +24,21 @@ object Tables {
   def ablationDetectors: Seq[Detector] =
     Seq(Ablations.HuberFisher, Ablations.HuberSiegelACF, Ablations.NRRobustPeriod, robust)
 
-  /** Shared path: generate → Spark mapPartitions detect → SQL metrics. */
+  /** Shared path: generate → Spark mapPartitions detect → SQL metrics.
+    * Detection runs here, as one parallel job whose rows are collected;
+    * `det` is a Dataset over those rows, so collecting it starts no job.
+    * There are a few score rows per series, so `met` reads them as one
+    * partition and its GROUP BY/ORDER BY need no exchange. Collecting
+    * first keeps detection parallel: one partition over a lazy (even
+    * cached) detection plan would run every detection in its one task
+    * unless adaptive execution happened to materialize the cache first.
+    */
   def run(spark: SparkSession, series: Seq[Datasets.Series],
           detectors: Seq[Detector]): (Dataset[DetectionRow], DataFrame) = {
-    val ds  = SparkDetect.toDataset(spark, series)
-    val det = SparkDetect.detect(ds, detectors).cache()
-    val met = EvalSql.metrics(SparkDetect.score(det, Tolerances))
-    (det, met)
+    import spark.implicits._
+    val rows = SparkDetect.detect(SparkDetect.toDataset(spark, series), detectors).collect()
+    val det  = spark.createDataset(rows.toSeq)
+    (det, EvalSql.metrics(SparkDetect.score(det.coalesce(1), Tolerances)))
   }
 
   /** Table 1 — single-period "precision" (top-1 accuracy) on synthetic sin
@@ -113,6 +121,6 @@ object Tables {
       Datasets.multiPeriod(count, Sin, 0.1, 0.01, seed = 7000 + n, n = n)
     }
     val (det, met) = run(spark, series, multiDetectors)
-    (EvalSql.runtimes(det), met)
+    (EvalSql.runtimes(det.coalesce(1)), met)
   }
 }

@@ -24,10 +24,17 @@ final case class ScoreRow(id: Long, cond: String, algo: String, tol: Double,
   */
 object SparkDetect {
 
+  /** `series` in k = min(#series, defaultParallelism) partitions (one
+    * empty partition when there are none), series i in partition i mod k,
+    * each partition in input order. They are read straight from the
+    * driver's list, so no exchange runs before detection.
+    */
   def toDataset(spark: SparkSession, series: Seq[Series]): Dataset[SeriesRow] = {
     import spark.implicits._
-    spark.createDataset(series.map(s => SeriesRow(s.id, s.cond, s.values, s.truth)))
-      .repartition(math.min(series.size, spark.sparkContext.defaultParallelism))
+    val rows = series.map(s => SeriesRow(s.id, s.cond, s.values, s.truth)).toIndexedSeq
+    val k    = math.max(1, math.min(rows.size, spark.sparkContext.defaultParallelism))
+    val bins = (0 until k).map(b => rows.indices.filter(_ % k == b).map(rows))
+    spark.createDataset(spark.sparkContext.parallelize(bins, k).flatMap(bin => bin))
   }
 
   /** Run every detector on every series; wall-clock per detection recorded

@@ -6,8 +6,14 @@ import repro.baselines.Detector
 
 /** Structured Streaming driver: per-point telemetry arrives as a stream;
   * state per series accumulates points and a detection is emitted once the
-  * advertised point count is reached (monitoring pipelines know the window
-  * length up front).
+  * series is complete (monitoring pipelines know the window length up
+  * front).
+  *
+  * A series of advertised length `n` is complete when every `t` in
+  * `[0, n)` has arrived; `n` is read from the current micro-batch. Points
+  * with `t` outside that range are dropped, a duplicated `t` keeps the
+  * value that arrived last, and a hole is never filled: a series with a
+  * missing `t` emits nothing and its state is held (there is no timeout).
   *
   * This is the streaming face of the same per-series algorithm — the
   * detector itself is identical to the batch path.
@@ -28,11 +34,11 @@ object StreamingDetect {
         case ((id, cond), it, state: GroupState[SeriesState]) =>
           val prev = if (state.exists) state.get.values else Map.empty[Long, Double]
           val pts  = it.toSeq
-          val acc  = prev ++ pts.map(p => p.t -> p.value)
           val n    = pts.headOption.map(_.n).getOrElse(-1)
-          if (n > 0 && acc.size >= n) {
+          val acc  = prev ++ pts.collect { case p if p.t >= 0 && p.t < n => p.t -> p.value }
+          if (n > 0 && (0 until n).forall(t => acc.contains(t.toLong))) {
             state.remove()
-            val values = Array.tabulate(n)(t => acc.getOrElse(t.toLong, 0.0))
+            val values = Array.tabulate(n)(t => acc(t.toLong))
             Iterator.single(SparkDetect.timed(detector, id, cond, values, Array.empty))
           } else {
             state.update(SeriesState(acc))

@@ -1,13 +1,32 @@
 package repro.spark
 
+import java.util.concurrent.ConcurrentHashMap
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.execution.{LocalTableScanExec, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.Exchange
 import repro.{Oracle, SparkSpec}
 import repro.baselines._
 import repro.eval.{Scoring, Tables}
 import repro.synth.Datasets
 import repro.synth.TimeSeriesGen.Sin
 
-class SparkDetectSpec extends SparkSpec {
+/** Records the Spark partition each detection ran in; finds no periods,
+  * at no cost.
+  */
+final class PartitionProbe(val name: String) extends Detector {
+  def detect(x: Array[Double]): Seq[Int] = {
+    PartitionProbe.seen.add(TaskContext.get().partitionId())
+    Nil
+  }
+}
+
+object PartitionProbe {
+  val seen: java.util.Set[Integer] = ConcurrentHashMap.newKeySet[Integer]()
+}
+
+class SparkDetectSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val series = Datasets.multiPeriod(8, Sin, 0.1, 0.01, seed = 1234) ++
     Datasets.singlePeriodSin(8, 0.1, 0.01, seed = 4321)
@@ -76,6 +95,64 @@ class SparkDetectSpec extends SparkSpec {
       val expected = Scoring.aggregate(cs.toIndexedSeq).f1
       assert(math.abs(sql((cond, d.name)) - expected) < 1e-9, s"$cond/${d.name}")
     }
+  }
+
+  private def parallelism = spark.sparkContext.defaultParallelism
+
+  /** More series than cores, so some partitions hold several. */
+  private lazy val many = Datasets.multiPeriod(2 * parallelism + 1, Sin, 0.1, 0.01, seed = 900, n = 500)
+
+  /** Each partition's rows, as positions in `series`. */
+  private def partitions(series: Seq[Datasets.Series]): Seq[Seq[Int]] = {
+    val pos = series.zipWithIndex.map { case (s, i) => (s.cond, s.id) -> i }.toMap
+    SparkDetect.toDataset(spark, series).rdd.glom().collect().toSeq
+      .map(_.toSeq.map(r => pos((r.cond, r.id))))
+  }
+
+  test("toDataset places series i in partition i mod min(#series, parallelism), in input order") {
+    for (series <- Seq(many, many.take(2), many.take(1))) {
+      val k = math.min(series.size, parallelism)
+      assert(partitions(series) == (0 until k).map(b => series.indices.filter(_ % k == b)))
+    }
+  }
+
+  private def exchanges(plan: SparkPlan): Seq[SparkPlan] = collect(plan) { case e: Exchange => e }
+
+  test("detection, EvalSql.metrics and EvalSql.runtimes execute without an Exchange") {
+    val probe     = Seq(new PartitionProbe("probe"))
+    val detection = SparkDetect.detect(SparkDetect.toDataset(spark, many), probe)
+    detection.collect()
+    assert(exchanges(detection.queryExecution.executedPlan).isEmpty, detection.queryExecution.executedPlan)
+    val (det, met) = Tables.run(spark, many, probe)
+    assert(det.queryExecution.executedPlan.isInstanceOf[LocalTableScanExec], "collecting det would start a job")
+    // Table 7 reads the runtimes of `det` the same way `met` reads its scores.
+    for (df <- Seq(met, EvalSql.runtimes(det.coalesce(1)))) {
+      assert(df.collect().nonEmpty)
+      assert(exchanges(df.queryExecution.executedPlan).isEmpty, df.queryExecution.executedPlan)
+    }
+  }
+
+  test("collecting only the metrics of Tables.run detects in min(#series, parallelism) partitions, AQE on or off") {
+    val aqe  = "spark.sql.adaptive.enabled"
+    val prev = spark.conf.getOption(aqe)
+    try {
+      for (on <- Seq("true", "false")) {
+        spark.conf.set(aqe, on)
+        PartitionProbe.seen.clear()
+        val (_, met) = Tables.run(spark, many, Seq(new PartitionProbe("probe")))
+        assert(met.collect().length == Tables.Tolerances.size)
+        assert(PartitionProbe.seen.size == math.min(many.size, parallelism), s"$aqe=$on")
+      }
+    } finally prev match {
+      case Some(v) => spark.conf.set(aqe, v)
+      case None    => spark.conf.unset(aqe)
+    }
+  }
+
+  test("an empty series list yields no detection rows and an empty metrics table") {
+    val (det, met) = Tables.run(spark, Seq.empty, Tables.multiDetectors)
+    assert(det.collect().isEmpty)
+    assert(met.collect().isEmpty)
   }
 }
 

@@ -41,6 +41,45 @@ class StreamingDetectSpec extends SparkSpec {
     } finally query.stop()
   }
 
+  /** Streams `batches` in order, one micro-batch each, and returns every
+    * detection emitted.
+    */
+  private def streamed(name: String, batches: Seq[Seq[StreamingDetect.Point]]): Array[DetectionRow] = {
+    import spark.implicits._
+    implicit val sql = spark.sqlContext
+    val stream = MemoryStream[StreamingDetect.Point]
+    val query = StreamingDetect.detections(stream.toDS(), Tables.robust).writeStream
+      .format("memory").queryName(name).outputMode("append").start()
+    try {
+      batches.foreach { b => stream.addData(b); query.processAllAvailable() }
+      spark.sql(s"SELECT * FROM $name").as[DetectionRow].collect()
+    } finally query.stop()
+  }
+
+  private lazy val series400 = Datasets.singlePeriodSin(1, 0.1, 0.01, seed = 57, n = 400).head
+
+  private def points(ts: Seq[Int]): Seq[StreamingDetect.Point] =
+    ts.map(t => StreamingDetect.Point(series400.id, series400.cond, t.toLong,
+                                      series400.values.lift(t).getOrElse(1e6), 400))
+
+  test("a point outside [0, n) neither completes a series nor fills its hole") {
+    val holed = (0 until 400).filter(_ != 123)
+    // 400 points arrive, one of them at t = 400, so t = 123 is still missing.
+    val got = streamed("stream_out_of_range", Seq(points(holed :+ 400), points(Seq(-1))))
+    assert(got.isEmpty, s"detected with a hole at t = 123: ${got.toSeq.map(_.detected.toSeq)}")
+    val done = streamed("stream_out_of_range_done", Seq(points(holed :+ 400), points(Seq(123))))
+    assert(done.map(_.detected.toSeq).toSeq == Seq(Tables.robust.detect(series400.values)))
+  }
+
+  test("a duplicated t neither completes a series nor emits it twice") {
+    val holed = (0 until 400).filter(_ != 7)
+    assert(streamed("stream_dup_hole", Seq(points(holed :+ 8), points(Seq(8)))).isEmpty)
+    val all = 0 until 400
+    val got = streamed("stream_dup_full", Seq(points(all.take(250) ++ all.take(10)), points(all.drop(250)),
+                                              points(Seq(3, 4))))
+    assert(got.map(_.detected.toSeq).toSeq == Seq(Tables.robust.detect(series400.values)))
+  }
+
   test("incomplete series emit nothing (state held, no spurious output)") {
     import spark.implicits._
     implicit val sql = spark.sqlContext
