@@ -17,7 +17,7 @@ class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
 
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
     val n     = x.length
-    val pHalf = HuberPeriodogram.vanilla(x).take(n / 2 + 1)
+    val pHalf = HuberPeriodogram.vanilla(x)
     val acf   = ACF.biased(x)
     val maxima = permutationMaxima(x)
     java.util.Arrays.sort(maxima)

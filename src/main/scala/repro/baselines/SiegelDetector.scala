@@ -19,9 +19,7 @@ object SiegelDetector extends Detrended("Siegel") {
   private val MaxPeriods = 10
 
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
-    val n = x.length
-    val p = HuberPeriodogram.vanilla(x)
-    detectFromPeriodogram(p.take(n / 2 + 1), n)
+    detectFromPeriodogram(HuberPeriodogram.vanilla(x), x.length)
   }
 
   /** Shared with the Huber-Siegel ablation: run on any half-range

@@ -27,7 +27,7 @@ object WaveletFisher extends Detrended("Wavelet-Fisher") {
       val d  = dec.details(j - 1)
       val nl = d.length
       if (nl >= 16) {
-        val pHalf  = HuberPeriodogram.vanilla(d).take(nl / 2 + 1)
+        val pHalf  = HuberPeriodogram.vanilla(d)
         val fisher = FisherTest.test(pHalf)
         if (fisher.pValue < Alpha && fisher.kMax >= 1) {
           val per = math.round((nl.toDouble / fisher.kMax) * (1 << j)).toInt

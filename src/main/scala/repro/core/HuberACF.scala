@@ -83,7 +83,7 @@ object ACF {
     val n = x.length
     val padded = new Array[Double](2 * n)
     System.arraycopy(x, 0, padded, 0, n)
-    val pHalf = HuberPeriodogram.vanilla(padded).take(n + 1)
+    val pHalf = HuberPeriodogram.vanilla(padded)
     HuberACF.fromPeriodogram(pHalf)
   }
 

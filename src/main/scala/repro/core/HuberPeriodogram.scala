@@ -12,12 +12,12 @@ package repro.core
   */
 object HuberPeriodogram {
 
-  /** Vanilla periodogram P_k = |X_k|²/n, full range k = 0..n−1. */
-  def vanilla(x: Array[Double]): Array[Double] = power(FFT.forward(x), x.length, x.length)
+  /** Vanilla periodogram P_k = |X_k|²/n, half range k = 0..n/2. */
+  def vanilla(x: Array[Double]): Array[Double] = power(FFT.forward(x), x.length)
 
-  /** |X_k|²/n for k = 0..count−1 of an interleaved spectrum of length 2n. */
-  private def power(spec: Array[Double], n: Int, count: Int): Array[Double] =
-    Array.tabulate(count) { k =>
+  /** |X_k|²/n for k = 0..n/2 of an interleaved spectrum of length 2n. */
+  private def power(spec: Array[Double], n: Int): Array[Double] =
+    Array.tabulate(n / 2 + 1) { k =>
       val re = spec(2 * k); val im = spec(2 * k + 1)
       (re * re + im * im) / n
     }
@@ -59,7 +59,7 @@ object HuberPeriodogram {
     private val hi   = math.min((n - 1) / 2, exactBand._2)
 
     /** Indices 0..n/2: vanilla until a parity's exact ordinates are solved. */
-    val periodogram: Array[Double] = power(spec, n, n / 2 + 1)
+    val periodogram: Array[Double] = power(spec, n)
 
     // The solver's screening order, and sq(i) = Σ x_t² over the first i
     // keys, summed smallest first; built once per series if the band is

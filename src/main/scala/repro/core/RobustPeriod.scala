@@ -11,6 +11,10 @@ object RobustPeriod {
 
   /** Tunables; defaults follow the paper / DESIGN.md §5. */
   final case class Config(
+      /** Daubechies filter order of the MODWT: 10 (paper Sec. 3.3). The
+        * program runs only 10 and 4 (Wavelet-Fisher's DWT);
+        * `Daubechies.scaling` holds orders 1–4 and 10 and rejects any other.
+        */
       waveletOrder: Int = 10,
       maxLevels: Int = 10,
       hpLambda: Double = -1, // ≤0 = length-adaptive (HPFilter.autoLambda)
@@ -95,29 +99,21 @@ object RobustPeriod {
         // odd ones feed only kMax and the Huber-ACF of a significant level.
         val huber = Option.when(cfg.useHuberPeriodogram)(
           new HuberPeriodogram.Spliced(x, band, cfg.huberZeta, cfg.admmIter))
-        val pHalf = huber.fold(HuberPeriodogram.vanilla(x).take(n + 1))(_.solveEven())
-        // Significance from EVEN ordinates only: X_padded(2k) equals the
-        // unpadded DFT, so those ordinates are i.i.d. under the white-noise
-        // null (odd, interpolated ordinates are correlated with their
-        // neighbours). Level-j coefficients are band-passed, so the test is
-        // restricted to the in-band ordinates whenever enough exist —
-        // including the (near-zero) out-of-band ordinates would inflate the
-        // g-statistic far above the null. Deep levels have too few in-band
-        // ordinates for any power (e.g. 4 at T≈1440, N=7200), so there the
-        // full even range is used and the strengthened ACF validation
-        // (≥3 persistent peaks) carries the false-positive control — this
-        // matches the paper's observed behaviour (Fig. 5 shows out-of-band
-        // candidates and p-values needing ACF veto). The period candidate
-        // always uses the full-resolution, full-range argmax.
+        val pHalf = huber.fold(HuberPeriodogram.vanilla(x))(_.solveEven())
+        // Fisher window: the level's in-band even ordinates, widened to at
+        // least 16. Even ordinates only, because X_padded(2k) equals the
+        // unpadded DFT, so they are i.i.d. under the white-noise null (odd,
+        // interpolated ordinates are correlated with their neighbours).
+        // In-band, because the band-passed level's near-zero out-of-band
+        // ordinates would inflate the g-statistic far above the null. At
+        // least 16, because deep levels hold too few in-band ordinates for
+        // any test power (4 at T≈1440, N=7200); the widening reaches into
+        // the adjacent stopband, attenuated for signal and noise alike, so
+        // the null is only mildly distorted. The period candidate always
+        // uses the full-resolution, full-range argmax.
         val even   = Array.tabulate(n / 2 + 1)(i => pHalf(2 * i))
         val bandLo = math.max(1, (band._1 + 1) / 2)
         val bandHi = math.min(n / 2, band._2 / 2)
-        // Deep levels hold too few in-band ordinates for any test power
-        // (4 at T≈1440, N=7200), so the window is widened to ≥16 ordinates
-        // into the adjacent stopband — attenuated for signal *and* noise,
-        // so the null is only mildly distorted, unlike a full-range test
-        // whose N vastly overstates the effective ordinate count of a
-        // band-passed level.
         val minOrd = 16
         var lo = bandLo
         var hi = bandHi

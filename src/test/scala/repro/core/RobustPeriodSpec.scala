@@ -113,6 +113,27 @@ class RobustPeriodSpec extends AnyFunSuite {
     assert(RobustPeriod.detect(Array.fill(256)(5.0)).periods.isEmpty)
   }
 
+  // Near-constant inputs: zero MAD in preprocessing or in a level's
+  // robust standardization. The spike cases' (empty) periods are not
+  // pinned: they are not the right answer, only what the detector gives.
+  test("near-constant series run cleanly with finite diagnostics") {
+    val n = 1000
+    val inputs = Seq(
+      "one spike"              -> Array.tabulate(n)(t => if (t == 500) 15.0 else 5.0),
+      "a spike every 97"       -> Array.tabulate(n)(t => if (t % 97 == 0) 15.0 else 5.0),
+      "0/1 step"               -> Array.tabulate(n)(t => if (t < n / 2) 0.0 else 1.0),
+      "0,0,0,1,1"              -> Array.tabulate(n)(t => if (t % 5 < 3) 0.0 else 1.0),
+      "5 + 1e-13·sin(2πt/50)"  -> Array.tabulate(n)(t => 5 + 1e-13 * math.sin(2 * math.Pi * t / 50)))
+    val periods = inputs.map { case (name, y) =>
+      val res = RobustPeriod.detect(y)
+      assert(res.levels.forall(l => java.lang.Double.isFinite(l.variance) && l.fisherP >= 0 && l.fisherP <= 1),
+        s"$name: ${res.levels}")
+      name -> res.periods
+    }.toMap
+    assert(periods("0,0,0,1,1") == Seq(5))
+    assert(periods("5 + 1e-13·sin(2πt/50)") == Seq(50))
+  }
+
   test("period at the detection boundary (T close to N/4) detectable") {
     val y = synthetic(1024, Seq(200), Sin, 0.05, 0.0, seed = 803)
     val res = RobustPeriod.detect(y).periods
