@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{ACF, FFT, HuberPeriodogram}
-import scala.util.Random
 
 /** AUTOPERIOD baseline (Vlachos, Yu & Castelli 2005): periodogram "power
   * threshold" from permuted sequences selects candidate period hills; each
@@ -31,12 +30,12 @@ class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
     * percentile of these maxima separates signal from noise bins.
     *
     * Each shuffle is the Fisher–Yates pass of `scala.util.Random.shuffle`
-    * (same draws, same swaps) run in place on one interleaved complex
-    * buffer, which the cached plan then transforms.
+    * (same draws from [[Lcg48]], same swaps) run in place on one
+    * interleaved complex buffer, which the cached plan then transforms.
     */
   def permutationMaxima(x: Array[Double]): Array[Double] = {
     val n    = x.length
-    val rnd  = new Random(seed)
+    val rnd  = new Lcg48(seed)
     val plan = FFT.plan(n)
     val buf  = new Array[Double](2 * n)
     Array.fill(Permutations) {
@@ -106,3 +105,27 @@ class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
 }
 
 object AutoPeriod extends AutoPeriod(7)
+
+/** `java.util.Random`'s 48-bit LCG without its atomic seed: the same seed
+  * scrambling, `next(31)` and `nextInt(bound)` (power-of-two and rejection
+  * branches), so its draws equal `new Random(seed).nextInt`'s. Not
+  * thread-safe.
+  */
+private[baselines] final class Lcg48(seed0: Long) {
+  private var seed = (seed0 ^ 0x5DEECE66DL) & 0xFFFFFFFFFFFFL
+
+  private def next31(): Int = {
+    seed = (seed * 0x5DEECE66DL + 0xBL) & 0xFFFFFFFFFFFFL
+    (seed >>> 17).toInt
+  }
+
+  /** Uniform in [0, bound), bound > 0. */
+  def nextInt(bound: Int): Int = {
+    val m = bound - 1
+    var u = next31()
+    if ((bound & m) == 0) return ((bound * u.toLong) >> 31).toInt
+    var r = u % bound
+    while (u - r + m < 0) { u = next31(); r = u % bound }
+    r
+  }
+}

@@ -40,11 +40,13 @@ object FisherTest {
     // Signed log-space accumulation of Σ (−1)^{k−1} exp(logC(N,k) + (N−1)log(1−k g0)).
     var pos = Double.NegativeInfinity // log of positive part
     var neg = Double.NegativeInfinity // log of negative part
+    val lgN = lgamma(nOrdinates + 1.0) // log C(N,k) = lgN − lgamma(k+1) − lgamma(N−k+1)
     var k = 1
     while (k <= kMax) {
       val arg = 1.0 - k * g0
       if (arg > 0) {
-        val lt = logBinom(nOrdinates, k) + (nOrdinates - 1) * math.log(arg)
+        val lt = lgN - lgamma(k + 1.0) - lgamma(nOrdinates - k + 1.0) +
+          (nOrdinates - 1) * math.log(arg)
         if (k % 2 == 1) pos = logAdd(pos, lt) else neg = logAdd(neg, lt)
       }
       k += 1
@@ -58,22 +60,24 @@ object FisherTest {
   }
 
   /** Smallest g with P(g ≥ g*) = α — Fisher critical value, used by
-    * Siegel's test (λ·g_F threshold). Bisection on the monotone p-value.
+    * Siegel's test (λ·g_F threshold). Bisection on the monotone p-value,
+    * for at most 200 halvings. It stops after the first halving whose
+    * midpoint equals an end: the ends are then equal or adjacent doubles,
+    * and every later halving would leave them, and the result, as they are.
     */
   def criticalG(alpha: Double, nOrdinates: Int): Double = {
-    var lo = 1e-12
-    var hi = 1.0 - 1e-12
-    var i  = 0
-    while (i < 200) {
+    var lo   = 1e-12
+    var hi   = 1.0 - 1e-12
+    var done = false
+    var i    = 0
+    while (i < 200 && !done) {
       val mid = 0.5 * (lo + hi)
+      done = mid == lo || mid == hi
       if (pValue(mid, nOrdinates) > alpha) lo = mid else hi = mid
       i += 1
     }
     0.5 * (lo + hi)
   }
-
-  private def logBinom(n: Int, k: Int): Double =
-    lgamma(n + 1.0) - lgamma(k + 1.0) - lgamma(n - k + 1.0)
 
   private def logAdd(a: Double, b: Double): Double =
     if (a == Double.NegativeInfinity) b
@@ -81,20 +85,21 @@ object FisherTest {
     else if (a > b) a + math.log1p(math.exp(b - a))
     else b + math.log1p(math.exp(a - b))
 
+  private val Lanczos = Array(
+    0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+    771.32342877765313, -176.61502916214059, 12.507343278686905,
+    -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+
   /** Lanczos log-gamma (g = 7, n = 9), accurate to ~1e-13 for x > 0. */
   def lgamma(x: Double): Double = {
-    val c = Array(
-      0.99999999999980993, 676.5203681218851, -1259.1392167224028,
-      771.32342877765313, -176.61502916214059, 12.507343278686905,
-      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
     if (x < 0.5)
       math.log(math.Pi / math.sin(math.Pi * x)) - lgamma(1.0 - x)
     else {
       val xx = x - 1.0
-      var a  = c(0)
+      var a  = Lanczos(0)
       val t  = xx + 7.5
       var i  = 1
-      while (i < 9) { a += c(i) / (xx + i); i += 1 }
+      while (i < 9) { a += Lanczos(i) / (xx + i); i += 1 }
       0.5 * math.log(2 * math.Pi) + (xx + 0.5) * math.log(t) - t + math.log(a)
     }
   }

@@ -63,9 +63,9 @@ object HuberACF {
     // after ~1 coherence time. Main guard against per-level false positives.
     if (idx.length < 3) return None
     val dists = idx.sliding(2).map(p => (p(1) - p(0)).toDouble).toArray
-    val med   = RobustStats.median(dists)
+    val (med, mad) = RobustStats.medianMad(dists)
     // Genuine periodicity has consistent peak spacing; noise does not.
-    if (dists.length >= 2 && RobustStats.mad(dists) > math.max(2.0, 0.15 * med)) return None
+    if (mad > math.max(2.0, 0.15 * med)) return None
     val lo  = 0.5 * (nPrime.toDouble / (k + 1) + nPrime.toDouble / k) - 1
     val hi  = 0.5 * (nPrime.toDouble / k + nPrime.toDouble / (k - 1)) + 1
     val per = math.round(med).toInt

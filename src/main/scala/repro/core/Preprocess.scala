@@ -21,8 +21,8 @@ object Preprocess {
 
   /** Ψ((x − μ)/s) applied elementwise, returned on the standardized scale. */
   def clip(x: Array[Double], c: Double): Array[Double] = {
-    val mu = RobustStats.median(x)
-    val s  = RobustStats.mad(x) * RobustStats.MadToSigma
+    val (mu, m) = RobustStats.medianMad(x)
+    val s  = m * RobustStats.MadToSigma
     if (s == 0.0) return x.map(v => psi(v - mu, c))
     x.map(v => psi((v - mu) / s, c))
   }

@@ -188,6 +188,25 @@ class AutoPeriodSpec extends AnyFunSuite {
       assert(new AutoPeriod(seed).detect(y) == new ShuffleOracle(seed).detect(y))
     }
   }
+
+  // Powers of two take the multiply branch; bounds above 2^30 reject about
+  // half their draws, so the rejection loop runs often.
+  private val LcgBounds = Seq(1, 2, 4, 64, 1024, 1 << 30, 3, 1000, 1680,
+    (1 << 30) + 1, Int.MaxValue - 1, Int.MaxValue)
+
+  for (seed <- Seq(7L, 0L, -1L, 2024L)) {
+    test(s"Lcg48.nextInt equals java.util.Random.nextInt (seed=$seed)") {
+      val want = new java.util.Random(seed)
+      val got  = new Lcg48(seed)
+      LcgBounds.foreach { b =>
+        (0 until 2000).foreach(i => assert(got.nextInt(b) == want.nextInt(b), s"bound $b, draw $i"))
+      }
+      (0 until 20000).foreach { i =>
+        val b = LcgBounds(i % LcgBounds.length)
+        assert(got.nextInt(b) == want.nextInt(b), s"interleaved draw $i")
+      }
+    }
+  }
 }
 
 class WaveletFisherSpec extends AnyFunSuite {

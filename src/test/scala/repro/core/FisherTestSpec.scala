@@ -81,4 +81,83 @@ class FisherTestSpec extends AnyFunSuite {
     assert(math.abs(FisherTest.lgamma(0.5) - 0.5 * math.log(math.Pi)) < 1e-10)
     assert(math.abs(FisherTest.lgamma(101.0) - (1 to 100).map(i => math.log(i.toDouble)).sum) < 1e-8)
   }
+
+  private def rawBits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  for (alpha <- Seq(0.001, 0.01, 0.05); n <- Seq(8, 16, 100, 500, 840, 3600)) {
+    test(s"criticalG and pValue equal the full 200-halving bisection bit for bit (α=$alpha, N=$n)") {
+      val g = FisherTest.criticalG(alpha, n)
+      assert(rawBits(g) == rawBits(FisherOracle.criticalG(alpha, n)))
+      val gs = Seq(1e-12, 1e-6, 0.5 * g, g, math.nextUp(g), 2 * g, 0.3, 0.5, 0.9, 1 - 1e-12) ++
+        (1 to 40).map(_ / 41.0)
+      gs.foreach(g0 => assert(rawBits(FisherTest.pValue(g0, n)) == rawBits(FisherOracle.pValue(g0, n)), s"g0 $g0"))
+    }
+  }
+}
+
+/** `pValue` and `criticalG` as first written: C(N, k) recomputed per term,
+  * Lanczos coefficients allocated per call, and all 200 halvings run.
+  */
+private object FisherOracle {
+
+  def pValue(g0: Double, nOrdinates: Int): Double = {
+    if (g0 <= 0) return 1.0
+    if (g0 >= 1) return 0.0
+    val kMax = math.min((1.0 / g0).toInt, math.min(nOrdinates, 200))
+    var pos = Double.NegativeInfinity
+    var neg = Double.NegativeInfinity
+    var k = 1
+    while (k <= kMax) {
+      val arg = 1.0 - k * g0
+      if (arg > 0) {
+        val lt = logBinom(nOrdinates, k) + (nOrdinates - 1) * math.log(arg)
+        if (k % 2 == 1) pos = logAdd(pos, lt) else neg = logAdd(neg, lt)
+      }
+      k += 1
+    }
+    val p =
+      if (pos == Double.NegativeInfinity) 0.0
+      else if (neg == Double.NegativeInfinity) math.exp(pos)
+      else if (pos >= neg) math.exp(pos) * (1.0 - math.exp(neg - pos))
+      else -math.exp(neg) * (1.0 - math.exp(pos - neg))
+    math.min(1.0, math.max(0.0, p))
+  }
+
+  def criticalG(alpha: Double, nOrdinates: Int): Double = {
+    var lo = 1e-12
+    var hi = 1.0 - 1e-12
+    var i  = 0
+    while (i < 200) {
+      val mid = 0.5 * (lo + hi)
+      if (pValue(mid, nOrdinates) > alpha) lo = mid else hi = mid
+      i += 1
+    }
+    0.5 * (lo + hi)
+  }
+
+  private def logBinom(n: Int, k: Int): Double =
+    lgamma(n + 1.0) - lgamma(k + 1.0) - lgamma(n - k + 1.0)
+
+  private def logAdd(a: Double, b: Double): Double =
+    if (a == Double.NegativeInfinity) b
+    else if (b == Double.NegativeInfinity) a
+    else if (a > b) a + math.log1p(math.exp(b - a))
+    else b + math.log1p(math.exp(a - b))
+
+  private def lgamma(x: Double): Double = {
+    val c = Array(
+      0.99999999999980993, 676.5203681218851, -1259.1392167224028,
+      771.32342877765313, -176.61502916214059, 12.507343278686905,
+      -0.13857109526572012, 9.9843695780195716e-6, 1.5056327351493116e-7)
+    if (x < 0.5)
+      math.log(math.Pi / math.sin(math.Pi * x)) - lgamma(1.0 - x)
+    else {
+      val xx = x - 1.0
+      var a  = c(0)
+      val t  = xx + 7.5
+      var i  = 1
+      while (i < 9) { a += c(i) / (xx + i); i += 1 }
+      0.5 * math.log(2 * math.Pi) + (xx + 0.5) * math.log(t) - t + math.log(a)
+    }
+  }
 }
