@@ -1,6 +1,7 @@
 package repro.core
 
 import org.jtransforms.fft.DoubleFFT_1D
+import repro.numerics.DoubleArrays
 
 /** FFT substrate: thin, convention-pinning wrapper over JTransforms
   * (shipped in /opt/spark/jars).
@@ -77,6 +78,6 @@ object FFT {
     val a = spec.clone()
     val n = a.length / 2
     plan(n).complexInverse(a)
-    Array.tabulate(n)(i => a(2 * i))
+    DoubleArrays.tabulate(n)(i => a(2 * i))
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.numerics.Banded
+import repro.numerics.{Banded, DoubleArrays}
 
 /** Hodrick–Prescott trend filter (Eq. 2):
   *
@@ -58,6 +58,6 @@ object HPFilter {
   /** Detrended series y − τ̂ (λ ≤ 0 = auto). */
   def detrend(y: Array[Double], lambda: Double = -1): Array[Double] = {
     val t = trend(y, lambda)
-    Array.tabulate(y.length)(i => y(i) - t(i))
+    DoubleArrays.tabulate(y.length)(i => y(i) - t(i))
   }
 }

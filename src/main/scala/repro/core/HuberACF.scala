@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.numerics.DoubleArrays
+
 /** Robust ACF from the Huber-periodogram via the Wiener–Khinchin theorem
   * (Sec. 3.4.2), plus the Huber-ACF-Med validation step.
   *
@@ -17,7 +19,7 @@ object HuberACF {
   def fullRange(pHalf: Array[Double]): Array[Double] = {
     val half = pHalf.length - 1 // = N
     val n    = 2 * half         // = N'
-    Array.tabulate(n)(k => if (k <= half) pHalf(k) else pHalf(n - k))
+    DoubleArrays.tabulate(n)(k => if (k <= half) pHalf(k) else pHalf(n - k))
   }
 
   /** ACF(t), t = 0..N−1, from the half-range periodogram of the padded
@@ -33,7 +35,7 @@ object HuberACF {
     val p = FFT.inverseReal(spec)
     val p0 = p(0)
     if (p0 <= 0) return Array.fill(half)(0.0)
-    Array.tabulate(half)(t => (half.toDouble / (half - t)) * p(t) / p0)
+    DoubleArrays.tabulate(half)(t => (half.toDouble / (half - t)) * p(t) / p0)
   }
 
   /** Huber-ACF-Med (Sec. 3.4.2): validate a periodogram candidate at padded
@@ -93,6 +95,6 @@ object ACF {
   def biased(x: Array[Double]): Array[Double] = {
     val u = unbiased(x)
     val n = x.length
-    Array.tabulate(n)(t => u(t) * (n - t).toDouble / n)
+    DoubleArrays.tabulate(n)(t => u(t) * (n - t).toDouble / n)
   }
 }

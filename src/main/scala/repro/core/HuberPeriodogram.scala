@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.numerics.DoubleArrays
+
 /** Periodograms: the vanilla FFT periodogram (Eq. 5) and the robust
   * Huber M-periodogram (Eq. 6–7) solved per frequency by safeguarded
   * Newton / IRLS.
@@ -17,7 +19,7 @@ object HuberPeriodogram {
 
   /** |X_k|²/n for k = 0..n/2 of an interleaved spectrum of length 2n. */
   private def power(spec: Array[Double], n: Int): Array[Double] =
-    Array.tabulate(n / 2 + 1) { k =>
+    DoubleArrays.tabulate(n / 2 + 1) { k =>
       val re = spec(2 * k); val im = spec(2 * k + 1)
       (re * re + im * im) / n
     }

@@ -31,24 +31,32 @@ object PeakDetection {
       score(i) = 0.5 * (left + right)
       i += 1
     }
-    val pos = (from until hi).map(score).filter(_ > 0)
-    if (pos.isEmpty) return Array.empty
-    val m  = pos.sum / pos.size
-    val sd = math.sqrt(pos.map(v => (v - m) * (v - m)).sum / pos.size)
+    // Mean and standard deviation of the positive scores.
+    var pos = 0
+    var sum = 0.0
+    i = from
+    while (i < hi) { if (score(i) > 0) { sum += score(i); pos += 1 }; i += 1 }
+    if (pos == 0) return Array.empty
+    val m  = sum / pos
+    var ss = 0.0
+    i = from
+    while (i < hi) { if (score(i) > 0) ss += (score(i) - m) * (score(i) - m); i += 1 }
+    val sd = math.sqrt(ss / pos)
     // ≥ not >: with a single positive score sd = 0 and the lone true peak
     // must still qualify.
     val thresh = m + h * sd
-    val cands = (from until hi).filter { i =>
-      score(i) >= thresh &&
-      (i == 0 || x(i) >= x(i - 1)) && (i == n - 1 || x(i) >= x(i + 1))
+    // Candidates in order; one within k of the last kept peak replaces it
+    // only if taller.
+    val kept = new Array[Int](hi - from)
+    var nk   = 0
+    i = from
+    while (i < hi) {
+      if (score(i) >= thresh && (i == 0 || x(i) >= x(i - 1)) && (i == n - 1 || x(i) >= x(i + 1))) {
+        if (nk > 0 && i - kept(nk - 1) <= k) { if (x(i) > x(kept(nk - 1))) kept(nk - 1) = i }
+        else { kept(nk) = i; nk += 1 }
+      }
+      i += 1
     }
-    // Prune peaks within k of each other, keeping the taller.
-    val kept = scala.collection.mutable.ArrayBuffer.empty[Int]
-    cands.foreach { c =>
-      if (kept.nonEmpty && c - kept.last <= k) {
-        if (x(c) > x(kept.last)) { kept.remove(kept.length - 1); kept += c }
-      } else kept += c
-    }
-    kept.toArray
+    java.util.Arrays.copyOf(kept, nk)
   }
 }

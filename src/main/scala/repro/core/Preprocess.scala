@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.numerics.DoubleArrays
+
 /** Data preprocessing (Sec. 3.2): robust normalization, HP detrending, and
   * MAD-based clipping of extreme outliers,
   *
@@ -23,8 +25,8 @@ object Preprocess {
   def clip(x: Array[Double], c: Double): Array[Double] = {
     val (mu, m) = RobustStats.medianMad(x)
     val s  = m * RobustStats.MadToSigma
-    if (s == 0.0) return x.map(v => psi(v - mu, c))
-    x.map(v => psi((v - mu) / s, c))
+    if (s == 0.0) return DoubleArrays.map(x)(v => psi(v - mu, c))
+    DoubleArrays.map(x)(v => psi((v - mu) / s, c))
   }
 
   private def psi(x: Double, c: Double): Double =

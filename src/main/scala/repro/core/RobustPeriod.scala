@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.numerics.DoubleArrays
 import repro.wavelet.MODWT
 
 /** The RobustPeriod multiple-periodicity detector (Sec. 3, Fig. 1):
@@ -75,7 +76,7 @@ object RobustPeriod {
     val variances = (1 to j).map { lvl =>
       val from = math.min(MODWT.filterWidth(l1, lvl) - 1, 3 * n / 4)
       if (cfg.useRobustVariance) RobustStats.biweightMidvariance(dec.w(lvl - 1), from)
-      else RobustStats.variance(dec.w(lvl - 1).drop(from))
+      else RobustStats.variance(dec.w(lvl - 1), from)
     }
     val totalVar = variances.sum
 
@@ -111,7 +112,7 @@ object RobustPeriod {
         // the adjacent stopband, attenuated for signal and noise alike, so
         // the null is only mildly distorted. The period candidate always
         // uses the full-resolution, full-range argmax.
-        val even   = Array.tabulate(n / 2 + 1)(i => pHalf(2 * i))
+        val even   = DoubleArrays.tabulate(n / 2 + 1)(i => pHalf(2 * i))
         val bandLo = math.max(1, (band._1 + 1) / 2)
         val bandHi = math.min(n / 2, band._2 / 2)
         val minOrd = 16

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.numerics.DoubleArrays
+
 /** Robust statistics substrate: median, MAD, biweight midvariance (Eq. 4)
   * and median/MAD standardization.
   */
@@ -86,14 +88,25 @@ object RobustStats {
   /** `s(rank)` with the sign of zero the sort gives it: the sort puts the
     * values whose sign bit is set (negatives and −0.0) first.
     */
-  private def sortedSign(s: Array[Double], rank: Int): Double =
-    if (s(rank) != 0.0) s(rank)
-    else if (rank < s.count(java.lang.Double.doubleToRawLongBits(_) < 0)) -0.0
-    else 0.0
+  private def sortedSign(s: Array[Double], rank: Int): Double = {
+    if (s(rank) != 0.0) return s(rank)
+    var signed = 0
+    var i      = 0
+    while (i < s.length) { if (java.lang.Double.doubleToRawLongBits(s(i)) < 0) signed += 1; i += 1 }
+    if (rank < signed) -0.0 else 0.0
+  }
 
-  def variance(x: Array[Double]): Double = {
-    val m = x.sum / x.length
-    x.map(v => (v - m) * (v - m)).sum / x.length
+  /** Population variance of `x(from until x.length)`, summed left to right. */
+  def variance(x: Array[Double], from: Int = 0): Double = {
+    val len = x.length - from
+    var sum = 0.0
+    var i   = from
+    while (i < x.length) { sum += x(i); i += 1 }
+    val m  = sum / len
+    var ss = 0.0
+    i = from
+    while (i < x.length) { ss += (x(i) - m) * (x(i) - m); i += 1 }
+    ss / len
   }
 
   /** Biweight midvariance of `x(from until x.length)` — the robust unbiased
@@ -112,7 +125,7 @@ object RobustStats {
     val len   = x.length - start
     if (len < 2) return 0.0
     val (med, m) = medianMad(x, start)
-    if (m == 0.0) return variance(x.slice(start, x.length))
+    if (m == 0.0) return variance(x, start)
     var num = 0.0
     var den = 0.0
     var i   = start
@@ -137,6 +150,6 @@ object RobustStats {
     val s   = m * MadToSigma
     val sc  = if (s > 0) s else math.sqrt(variance(x))
     if (sc == 0.0) Array.fill(x.length)(0.0)
-    else x.map(v => (v - med) / sc)
+    else DoubleArrays.map(x)(v => (v - med) / sc)
   }
 }

@@ -24,7 +24,10 @@ object Banded {
         s -= l(d)(k) * l(d)(k)
         k += 1
       }
-      require(s > 0, s"matrix not SPD at column $j (pivot $s)")
+      // Not `require`: its by-name message would capture the var `s` and
+      // so allocate a box and a closure on every column.
+      if (!(s > 0))
+        throw new IllegalArgumentException(s"requirement failed: matrix not SPD at column $j (pivot $s)")
       l(0)(j) = math.sqrt(s)
       var i = j + 1
       val iMax = math.min(n - 1, j + bw)

@@ -1,5 +1,7 @@
 package repro.wavelet
 
+import repro.numerics.DoubleArrays
+
 /** Maximal Overlap Discrete Wavelet Transform (Percival & Walden ch. 5).
   *
   * Pyramid algorithm with circular boundary (Eq. 3): level-j coefficients
@@ -25,8 +27,8 @@ object MODWT {
   def transform(x: Array[Double], levels: Int, p: Int = 10): Decomposition = {
     val n = x.length
     require(n >= 2, "series too short for MODWT")
-    val g = Daubechies.scaling(p).map(_ / math.sqrt(2.0))
-    val h = Daubechies.wavelet(p).map(_ / math.sqrt(2.0))
+    val g = DoubleArrays.map(Daubechies.scaling(p))(_ / math.sqrt(2.0))
+    val h = DoubleArrays.map(Daubechies.wavelet(p))(_ / math.sqrt(2.0))
     val l1 = g.length
     val w  = Array.ofDim[Array[Double]](levels)
     var v  = x.clone()

@@ -148,4 +148,57 @@ class PeakDetectionSpec extends AnyFunSuite {
   test("short input returns empty") {
     assert(PeakDetection.peaks(Array(1.0, 2.0), 3, 1.0).isEmpty)
   }
+
+  /** The spike-score filter and pruning written with Scala collections:
+    * the definition `peaks` must reproduce.
+    */
+  private def collectionPeaks(x: Array[Double], k: Int, h: Double, from: Int, until: Int): Array[Int] = {
+    val n  = x.length
+    val hi = if (until < 0) n else math.min(until, n)
+    if (hi - from < 3) return Array.empty
+    val score = Array.tabulate(n) { i =>
+      if (i < from || i >= hi) 0.0
+      else {
+        val ls = (1 to k).filter(i - _ >= 0).map(j => x(i) - x(i - j))
+        val rs = (1 to k).filter(i + _ < n).map(j => x(i) - x(i + j))
+        val l  = if (ls.isEmpty) rs.max else ls.max
+        val r  = if (rs.isEmpty) l else rs.max
+        0.5 * (l + r)
+      }
+    }
+    val pos = (from until hi).map(score).filter(_ > 0)
+    if (pos.isEmpty) return Array.empty
+    val m      = pos.sum / pos.size
+    val sd     = math.sqrt(pos.map(v => (v - m) * (v - m)).sum / pos.size)
+    val thresh = m + h * sd
+    val cands = (from until hi).filter { i =>
+      score(i) >= thresh && (i == 0 || x(i) >= x(i - 1)) && (i == n - 1 || x(i) >= x(i + 1))
+    }
+    val kept = scala.collection.mutable.ArrayBuffer.empty[Int]
+    cands.foreach { c =>
+      if (kept.nonEmpty && c - kept.last <= k) {
+        if (x(c) > x(kept.last)) { kept.remove(kept.length - 1); kept += c }
+      } else kept += c
+    }
+    kept.toArray
+  }
+
+  test("peaks equal the collection-based definition on noisy, tied and spiky inputs") {
+    val rnd = new scala.util.Random(11)
+    for (trial <- 0 until 300) {
+      val n = 20 + rnd.nextInt(400)
+      val t = 4 + rnd.nextInt(60)
+      val x = (trial % 3) match {
+        case 0 => Array.tabulate(n)(i => math.cos(2 * math.Pi * i / t) + 0.3 * rnd.nextGaussian())
+        case 1 => Array.fill(n)(rnd.nextInt(4).toDouble) // heavy ties
+        case _ => Array.tabulate(n)(i => if (rnd.nextInt(10) == 0) 5 * rnd.nextDouble() else 0.0)
+      }
+      val k     = 1 + rnd.nextInt(t / 2)
+      val h     = Array(0.0, 0.5, 1.0)(rnd.nextInt(3))
+      val from  = rnd.nextInt(n / 4)
+      val until = if (rnd.nextBoolean()) -1 else from + rnd.nextInt(n - from + 1)
+      assert(PeakDetection.peaks(x, k, h, from, until).toSeq == collectionPeaks(x, k, h, from, until).toSeq,
+        s"trial $trial: n=$n k=$k h=$h from=$from until=$until")
+    }
+  }
 }

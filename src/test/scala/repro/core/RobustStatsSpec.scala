@@ -173,6 +173,23 @@ class RobustStatsSpec extends AnyFunSuite {
     assert(res.passed, res.status.toString)
   }
 
+  test("property: variance of a tail equals the collection-based definition bit for bit") {
+    def collectionVariance(x: Array[Double]): Double = {
+      val m = x.sum / x.length
+      x.map(v => (v - m) * (v - m)).sum / x.length
+    }
+    val prop = Prop.forAllNoShrink(arrays) { case (kind, x) =>
+      val from = x.length / 4
+      (rawBits(RobustStats.variance(x)) == rawBits(collectionVariance(x)) &&
+        rawBits(RobustStats.variance(x, from)) == rawBits(collectionVariance(x.drop(from)))) :|
+        s"$kind, n=${x.length}"
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(200).withWorkers(1)
+      .withInitialSeed(Seed(20261019L))
+    val res = Check.check(params, prop)
+    assert(res.passed, res.status.toString)
+  }
+
   test("median and MAD of every permutation of small arrays with ties and signed zeros") {
     for (n <- 1 to 8; vals <- Seq(Array.tabulate(n)(i => (i / 2).toDouble),
                                   Array.tabulate(n)(i => Array(-0.0, 0.0, i.toDouble)(i % 3)))) {
