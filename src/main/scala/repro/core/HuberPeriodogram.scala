@@ -125,37 +125,78 @@ object HuberPeriodogram {
     * least-squares β = 2·(c1, c2)/n, where (c1, c2) = Σ_t φ_t x_t.
     *
     * Each iteration is one pass over the data at the current β that sums
-    * the objective f, the gradient g = Σ φ ψ(r), the Newton Hessian
-    * H_N = Σ_{|r|≤ζ} φφᵀ and the IRLS Hessian H_I = Σ min(1, ζ/|r|) φφᵀ.
-    * The step is −H_N⁻¹g when H_N is well conditioned and −H_I⁻¹g
-    * otherwise. −H_I⁻¹g is the weighted-least-squares (IRLS) update, a
-    * majorize–minimize step that cannot raise f (Holland & Welsch 1977),
-    * so an iterate whose objective rose is discarded and the IRLS step
-    * from the last accepted one is taken instead; should that step raise
-    * f too, the rise is rounding and the accepted iterate is final.
-    * Otherwise stops when ‖Δβ‖ ≤ 1e-12·(1 + ‖β‖) or after `maxIter`
-    * passes.
+    * the objective f, the gradient g = Σ φ ψ(r) and the Newton Hessian
+    * H_N = Σ_{|r|≤ζ} φφᵀ. The step is −H_N⁻¹g when H_N is well
+    * conditioned and otherwise −H_I⁻¹g, with the IRLS Hessian
+    * H_I = Σ min(1, ζ/|r|) φφᵀ: the weighted-least-squares (IRLS) update,
+    * a majorize–minimize step that cannot raise f (Holland & Welsch 1977).
+    * An iterate whose objective rose is discarded and the IRLS step from
+    * the last accepted one is taken instead; should that step raise f too,
+    * the rise is rounding and the accepted iterate is final. f "rose" only
+    * if it exceeds the accepted objective by more than 2⁻⁴⁴ ≈ 5.7e-14 of
+    * the summed magnitudes of both passes' terms, so an iterate that
+    * differs from the accepted one by f's rounding alone is accepted and
+    * the solver does not stop at that floor. Otherwise stops when
+    * ‖Δβ‖ ≤ 1e-12·(1 + ‖β‖) or after `maxIter` passes.
     *
-    * Safe inlier screening: at an iterate with ‖β‖ ≤ ζ every point with
-    * |x_t| ≤ ζ − ‖β‖ is an inlier, as |φ_tβ − x_t| ≤ ‖β‖ + |x_t|. A pass
-    * there certifies every zero and the prefix of `keys` whose upper bound
-    * on |x_t| is at most ζ − ‖β‖, and takes their least-squares sums in
-    * closed form: the totals Σ_t φ_tφ_tᵀ = (n/2)·I and Σ_t φ_t x_t = c less
-    * the visited points' terms, and Σ x_t² from `sq`. It visits only the
-    * rest of `keys`, each point as the full pass would. The certified part
-    * of f is summed from the small points' x_t², so large outliers do not
-    * cancel in it. An iterate with ‖β‖ > ζ certifies no point and takes
-    * the full pass over t = 0..n−1.
+    * Two-sided safe screening. At an iterate with ‖β‖ ≤ ζ every point with
+    * |x_t| ≤ ζ − ‖β‖ is an inlier and every point with |x_t| ≥ ζ + ‖β‖ an
+    * outlier, as |φ_tβ − x_t| lies within ‖β‖ of |x_t|.
+    *  - Certain inliers are every zero and the prefix of `keys` whose upper
+    *    bound on |x_t| is at most ζ − ‖β‖. A pass takes their
+    *    least-squares sums in closed form: the totals
+    *    Σ_t φ_tφ_tᵀ = (n/2)·I and Σ_t φ_t x_t = c less the other points'
+    *    terms, and Σ x_t² from `sq`, summed from the small points so that
+    *    large outliers do not cancel in it.
+    *  - Certain outliers O are fixed once per ordinate for a margin
+    *    B = min(ζ, 2‖β_LS‖ + 0.02): the suffix of `keys` whose lower bound
+    *    on |x_t| is at least (ζ + B)(1 + 1e-9), the factor a margin far
+    *    above the rounding of |φ_tβ| and of the test ‖β‖ ≤ B. While
+    *    ‖β‖ ≤ B each of them has r_t of sign −sign(x_t) and |r_t| > ζ, so
+    *    its terms are linear in β: one loop before the first pass sums
+    *    Σ|x_t|, Σ φ_t x_t, S = Σ sign(x_t)·φ_t and Σ φ_tφ_tᵀ over O, and a
+    *    pass adds ζΣ|x_t| − ζ·βᵀS − |O|ζ²/2 to f and −ζS to g, nothing to
+    *    H_N, and takes O's terms out of the certified totals.
+    *  - A pass visits only the keys in between, each point as the full
+    *    pass would. At B < ‖β‖ ≤ ζ it takes O as empty, and at ‖β‖ > ζ it
+    *    certifies nothing and runs over t = 0..n−1.
+    *
+    * O's share of H_I, Σ_O ζ/|r_t|·φ_tφ_tᵀ, is not linear in β, so a pass
+    * leaves it out, and it is summed by one more loop over O at the
+    * accepted iterate only when an IRLS step is taken there.
     */
   private def huberAtK(x: Array[Double], cos: Array[Double], sin: Array[Double],
                        keys: Array[Long], sq: Array[Double], k: Int, zeta: Double,
                        maxIter: Int, c1: Double, c2: Double): Double = {
     val n = x.length
+    // The twiddle index k·t mod n in Int arithmetic while
+    // k·t < n²/2 < 2³¹, that is for n < 65536, and in Long above.
+    val narrow = n < 65536
     val ls1 = 2.0 * c1 / n; val ls2 = 2.0 * c2 / n
-    // Last accepted iterate, its objective and its IRLS step.
+    // O = keys(oStart..): its Σ|x|, Σφx, S = Σ sign(x)φ and Σφφᵀ.
+    val bO     = math.min(zeta, 2.0 * math.hypot(ls1, ls2) + 0.02)
+    val oBound = (zeta + bO) * (1.0 + 1e-9)
+    var oAbs = 0.0; var ox1 = 0.0; var ox2 = 0.0; var os1 = 0.0; var os2 = 0.0
+    var o11 = 0.0; var o12 = 0.0; var o22 = 0.0
+    var oStart = keys.length
+    while (oStart > 0 &&
+           Math.nextDown(java.lang.Float.intBitsToFloat((keys(oStart - 1) >>> 32).toInt)) >= oBound) {
+      oStart -= 1
+      val t = keys(oStart).toInt
+      val idx = if (narrow) k * t % n else ((k.toLong * t) % n).toInt
+      val c = cos(idx); val s = sin(idx); val v = x(t)
+      oAbs += math.abs(v)
+      ox1 += c * v; ox2 += s * v
+      if (v > 0) { os1 += c; os2 += s } else { os1 -= c; os2 -= s }
+      o11 += c * c; o12 += c * s; o22 += s * s
+    }
+    val oHalfZeta2 = 0.5 * zeta * zeta * (keys.length - oStart)
+    // Last accepted iterate: its objective, the magnitude f was summed
+    // from, its gradient and its H_I less O's share (if its pass used O).
     var a1 = ls1; var a2 = ls2
-    var fa = Double.PositiveInfinity
-    var i1 = 0.0; var i2 = 0.0
+    var fa = Double.PositiveInfinity; var ma = 0.0
+    var ag1 = 0.0; var ag2 = 0.0
+    var aw11 = 0.0; var aw12 = 0.0; var aw22 = 0.0
     // Iterate to evaluate next, and whether it came from an IRLS step.
     var b1 = ls1; var b2 = ls2
     var viaIrls = false
@@ -165,16 +206,19 @@ object HuberPeriodogram {
       var f = 0.0; var g1 = 0.0; var g2 = 0.0
       var n11 = 0.0; var n12 = 0.0; var n22 = 0.0
       var w11 = 0.0; var w12 = 0.0; var w22 = 0.0
+      var mag = 0.0
       val bb = b1 * b1 + b2 * b2
       if (bb <= zeta * zeta) {
-        // Certified points' Σφφᵀ and Σφx: the totals less the visited ones'.
+        // Certified points' Σφφᵀ and Σφx: the totals less the visited
+        // points' and O's terms.
         var p11 = n / 2.0; var p12 = 0.0; var p22 = n / 2.0
         var q1 = c1; var q2 = c2
+        val usedO = bb <= bO * bO
+        var i = if (usedO) oStart - 1 else keys.length - 1
         val certified = zeta - math.sqrt(bb)
-        var i = keys.length - 1
         while (i >= 0 && java.lang.Float.intBitsToFloat((keys(i) >>> 32).toInt) > certified) {
           val t = keys(i).toInt
-          val idx = ((k.toLong * t) % n).toInt
+          val idx = if (narrow) k * t % n else ((k.toLong * t) % n).toInt
           val c = cos(idx); val s = sin(idx)
           val r = c * b1 + s * b2 - x(t)
           val cc = c * c; val cs = c * s; val ss = s * s
@@ -195,9 +239,20 @@ object HuberPeriodogram {
           }
           i -= 1
         }
+        mag = f // each visited point's term is nonnegative
+        if (usedO) {
+          p11 -= o11; p12 -= o12; p22 -= o22
+          q1 -= ox1; q2 -= ox2
+          val sb = b1 * os1 + b2 * os2
+          f += zeta * (oAbs - sb) - oHalfZeta2
+          mag += zeta * (oAbs + math.abs(sb)) + oHalfZeta2
+          g1 -= zeta * os1; g2 -= zeta * os2
+        }
         // The certified points: keys 0..i and the zeros, all inliers.
         val pb1 = p11 * b1 + p12 * b2; val pb2 = p12 * b1 + p22 * b2
-        f += 0.5 * (b1 * pb1 + b2 * pb2 - 2.0 * (b1 * q1 + b2 * q2) + sq(i + 1))
+        val bpb = b1 * pb1 + b2 * pb2; val bq = b1 * q1 + b2 * q2
+        f += 0.5 * (bpb - 2.0 * bq + sq(i + 1))
+        mag += 0.5 * (math.abs(bpb) + 2.0 * math.abs(bq) + sq(i + 1))
         g1 += pb1 - q1; g2 += pb2 - q2
         n11 += p11; n12 += p12; n22 += p22
         w11 += p11; w12 += p12; w22 += p22
@@ -224,27 +279,48 @@ object HuberPeriodogram {
           idx += k
           if (idx >= n) idx -= n
         }
+        mag = f // every term is nonnegative
       }
       it += 1
-      var d1 = i1; var d2 = i2 // a rejected iterate retries a's IRLS step
-      if (f <= fa) {
-        a1 = b1; a2 = b2; fa = f
-        val wDet = w11 * w22 - w12 * w12
-        i1 = -(w22 * g1 - w12 * g2) / wDet
-        i2 = -(w11 * g2 - w12 * g1) / wDet
+      var d1 = 0.0; var d2 = 0.0
+      var irls = false
+      if (f - fa <= RoundingAllowance * (mag + ma)) {
+        a1 = b1; a2 = b2; fa = f; ma = mag
+        ag1 = g1; ag2 = g2
+        aw11 = w11; aw12 = w12; aw22 = w22
         val nTr  = n11 + n22
         val nDet = n11 * n22 - n12 * n12
         viaIrls = !(nDet > 1e-6 * nTr * nTr) // λ_min/λ_max of H_N ≲ 1e-6
-        if (viaIrls) { d1 = i1; d2 = i2 }
-        else {
+        irls = viaIrls
+        if (!viaIrls) {
           d1 = -(n22 * g1 - n12 * g2) / nDet
           d2 = -(n11 * g2 - n12 * g1) / nDet
         }
       } else if (viaIrls) done = true // an IRLS step cannot raise f: rounding
-      else viaIrls = true
+      else { viaIrls = true; irls = true } // retry from a with its IRLS step
+      if (irls) {
+        var h11 = aw11; var h12 = aw12; var h22 = aw22
+        if (a1 * a1 + a2 * a2 <= bO * bO) { // a's pass used O
+          var i = oStart
+          while (i < keys.length) {
+            val t = keys(i).toInt
+            val idx = if (narrow) k * t % n else ((k.toLong * t) % n).toInt
+            val c = cos(idx); val s = sin(idx)
+            val w = zeta / math.abs(c * a1 + s * a2 - x(t))
+            h11 += w * c * c; h12 += w * c * s; h22 += w * s * s
+            i += 1
+          }
+        }
+        val hDet = h11 * h22 - h12 * h12
+        d1 = -(h22 * ag1 - h12 * ag2) / hDet
+        d2 = -(h11 * ag2 - h12 * ag1) / hDet
+      }
       done ||= !(math.hypot(d1, d2) > 1e-12 * (1.0 + math.hypot(a1, a2)))
       b1 = a1 + d1; b2 = a2 + d2
     }
     n / 4.0 * (a1 * a1 + a2 * a2)
   }
+
+  /** Allowed rise of f, relative to the magnitude it was summed from. */
+  private final val RoundingAllowance = 5.684341886080802e-14 // 2⁻⁴⁴
 }
