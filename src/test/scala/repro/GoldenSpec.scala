@@ -3,7 +3,7 @@ package repro
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.Ablations
+import repro.baselines.{Ablations, FindFrequency, SazedMaj, SazedOpt}
 import repro.core.RobustPeriod
 import repro.eval.Tables
 import repro.synth.Datasets
@@ -18,8 +18,9 @@ import scala.jdk.CollectionConverters._
   * and A4-like), the Table 3 square waves, CRAN-like and the six
   * Alibaba-like series. Per series the file holds the full
   * `RobustPeriod.detect` result (every `LevelResult` field, doubles as raw
-  * bits in hex), NR-RobustPeriod's periods and the periods of the four
-  * Table 2 detectors.
+  * bits in hex), NR-RobustPeriod's periods, the periods of the four
+  * Table 2 detectors, of the Table 1 baselines (findFrequency, SAZED_maj,
+  * SAZED_opt) and of the Huber-Fisher and Huber-Siegel-ACF ablations.
   *
   * Regenerate only when a change is meant to alter results:
   * `sbt "Test/runMain repro.Golden src/test/resources/golden-results.txt"`.
@@ -47,7 +48,8 @@ object Golden {
         s"$key\tlevel\t${l.level}\t${bits(l.variance)}\t${bits(l.fisherP)}\t" +
           s"${bits(l.periodogramPeriod)}\t${l.acfPeriod}"
       } ++
-      (Ablations.NRRobustPeriod +: Tables.multiDetectors).map { d =>
+      ((Ablations.NRRobustPeriod +: Tables.multiDetectors) ++
+        Seq(FindFrequency, SazedMaj, SazedOpt, Ablations.HuberFisher, Ablations.HuberSiegelACF)).map { d =>
         s"$key\t${d.name}\t${d.detect(s.values).mkString(",")}"
       }
   }
