@@ -5,16 +5,19 @@ import repro.core._
 /** Ablation revisions of RobustPeriod (Sec. 4.3.1). */
 object Ablations {
 
-  /** Half-range Huber periodogram (ζ = 1.345) of the preprocessed,
+  /** RobustPeriod's settings: the preprocessing, ζ and α of both Huber ablations. */
+  private val rp = RobustPeriod.Config()
+
+  /** Half-range Huber periodogram (RobustPeriod's ζ) of the preprocessed,
     * median/MAD-standardized series zero-padded to 2N — the input both
     * Huber ablations test.
     */
   private def huberPeriodogram(y: Array[Double]): Array[Double] = {
     val n   = y.length
-    val pre = RobustStats.robustStandardize(Preprocess(y))
+    val pre = RobustStats.robustStandardize(Preprocess(y, rp.hpLambda, rp.clipC))
     val x   = new Array[Double](2 * n)
     System.arraycopy(pre, 0, x, 0, n)
-    HuberPeriodogram.huberFull(x, zeta = 1.345)
+    HuberPeriodogram.huberFull(x, rp.huberZeta, rp.admmIter)
   }
 
   /** Huber-Fisher: Fisher's test with the Huber-periodogram on the whole
@@ -27,7 +30,7 @@ object Ablations {
       val n      = y.length
       val pHalf  = huberPeriodogram(y)
       val fisher = FisherTest.test(pHalf)
-      if (fisher.pValue < 1e-3 && fisher.kMax >= 1) {
+      if (fisher.pValue < rp.fisherAlpha && fisher.kMax >= 1) {
         val per = math.round(2.0 * n / fisher.kMax).toInt
         if (per >= 2 && per <= n / 2) Seq(per) else Seq.empty
       } else Seq.empty

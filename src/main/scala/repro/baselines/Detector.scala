@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core.{HPFilter, RobustPeriod}
+import repro.numerics.DoubleArrays
 
 /** Common interface for every periodicity detector under evaluation.
   *
@@ -21,8 +22,8 @@ trait Detector extends Serializable {
 abstract class Detrended(val name: String) extends Detector {
   final def detect(x: Array[Double]): Seq[Int] = {
     val d = HPFilter.detrend(x)
-    val m = d.sum / d.length
-    detectDetrended(d.map(_ - m))
+    val m = DoubleArrays.sum(d) / d.length
+    detectDetrended(DoubleArrays.map(d)(_ - m))
   }
   protected def detectDetrended(x: Array[Double]): Seq[Int]
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.jtransforms.fft.DoubleFFT_1D
-import repro.numerics.DoubleArrays
 
 /** FFT substrate: thin, convention-pinning wrapper over JTransforms
   * (shipped in /opt/spark/jars).
@@ -69,15 +68,5 @@ object FFT {
     while (i < n) { a(2 * i) = x(i); i += 1 }
     plan(n).complexForward(a)
     a
-  }
-
-  /** Inverse DFT of an interleaved complex spectrum; returns the real part
-    * (caller guarantees the spectrum is conjugate-symmetric up to noise).
-    */
-  def inverseReal(spec: Array[Double]): Array[Double] = {
-    val a = spec.clone()
-    val n = a.length / 2
-    plan(n).complexInverse(a)
-    DoubleArrays.tabulate(n)(i => a(2 * i))
   }
 }

@@ -13,29 +13,21 @@ import repro.numerics.DoubleArrays
   */
 object HuberACF {
 
-  /** Mirror a half-range periodogram (indices 0..N of an N'=2N spectrum)
-    * to the full range; index N is the Nyquist ordinate.
-    */
-  def fullRange(pHalf: Array[Double]): Array[Double] = {
-    val half = pHalf.length - 1 // = N
-    val n    = 2 * half         // = N'
-    DoubleArrays.tabulate(n)(k => if (k <= half) pHalf(k) else pHalf(n - k))
-  }
-
-  /** ACF(t), t = 0..N−1, from the half-range periodogram of the padded
-    * series. ACF(0) = 1 by construction.
+  /** ACF(t), t = 0..N−1, from the half-range periodogram (indices 0..N,
+    * N the Nyquist ordinate) of the padded series: the inverse DFT of its
+    * mirror to the full range P_k = P_{N'−k}, taken in place in one
+    * interleaved spectrum. ACF(0) = 1 by construction.
     */
   def fromPeriodogram(pHalf: Array[Double]): Array[Double] = {
-    val full = fullRange(pHalf)
-    val n    = full.length // N'
-    val half = n / 2       // N
+    val half = pHalf.length - 1 // N
+    val n    = 2 * half         // N'
     val spec = new Array[Double](2 * n)
     var k = 0
-    while (k < n) { spec(2 * k) = full(k); k += 1 }
-    val p = FFT.inverseReal(spec)
-    val p0 = p(0)
+    while (k < n) { spec(2 * k) = if (k <= half) pHalf(k) else pHalf(n - k); k += 1 }
+    FFT.plan(n).complexInverse(spec)
+    val p0 = spec(0)
     if (p0 <= 0) return Array.fill(half)(0.0)
-    DoubleArrays.tabulate(half)(t => (half.toDouble / (half - t)) * p(t) / p0)
+    DoubleArrays.tabulate(half)(t => (half.toDouble / (half - t)) * spec(2 * t) / p0)
   }
 
   /** Huber-ACF-Med (Sec. 3.4.2): validate a periodogram candidate at padded
@@ -44,8 +36,7 @@ object HuberACF {
     * period iff it falls in the periodogram resolution interval
     * R_k = [½(N'/(k+1) + N'/k) − 1, ½(N'/k + N'/(k−1)) + 1].
     */
-  def validate(acf: Array[Double], k: Int, nPrime: Int,
-               minHeight: Double = 0.15): Option[Int] = {
+  def validate(acf: Array[Double], k: Int, nPrime: Int, minHeight: Double): Option[Int] = {
     if (k < 2) return None
     val n     = acf.length
     val tCand = nPrime.toDouble / k

@@ -28,15 +28,14 @@ object HuberPeriodogram {
     * M-estimate on `exactBand` (inclusive index range) and the vanilla
     * periodogram elsewhere: [[Spliced]] with both parities solved.
     */
-  def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double,
-              maxIter: Int = 50): Array[Double] = {
+  def spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double, maxIter: Int): Array[Double] = {
     val sp = new Spliced(x, exactBand, zeta, maxIter)
     sp.solveEven()
     sp.solveOdd()
   }
 
   /** Exact Huber M-periodogram at every index 0..n/2 (used by ablations). */
-  def huberFull(x: Array[Double], zeta: Double, maxIter: Int = 50): Array[Double] =
+  def huberFull(x: Array[Double], zeta: Double, maxIter: Int): Array[Double] =
     spliced(x, (1, x.length / 2), zeta, maxIter)
 
   /** The spliced periodogram of one series, its exact band solved one

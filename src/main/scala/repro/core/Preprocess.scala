@@ -15,7 +15,7 @@ object Preprocess {
     * Output is a zero-centered, unit-ish scale, trend-free, clipped series
     * ready for MODWT.
     */
-  def apply(y: Array[Double], lambda: Double = -1, clipC: Double = 3.0): Array[Double] = {
+  def apply(y: Array[Double], lambda: Double, clipC: Double): Array[Double] = {
     val z  = RobustStats.robustStandardize(y)
     val d  = HPFilter.detrend(z, lambda)
     clip(d, clipC)

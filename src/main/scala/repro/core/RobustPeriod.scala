@@ -10,35 +10,31 @@ import repro.wavelet.MODWT
   */
 object RobustPeriod {
 
-  /** Tunables; defaults follow the paper / DESIGN.md §5. */
-  final case class Config(
-      /** Daubechies filter order of the MODWT: 10 (paper Sec. 3.3). The
-        * program runs only 10 and 4 (Wavelet-Fisher's DWT);
-        * `Daubechies.scaling` holds orders 1–4 and 10 and rejects any other.
-        */
-      waveletOrder: Int = 10,
-      maxLevels: Int = 10,
-      hpLambda: Double = -1, // ≤0 = length-adaptive (HPFilter.autoLambda)
-      clipC: Double = 3.0,
-      huberZeta: Double = 1.345,
-      fisherAlpha: Double = 1e-3,
-      acfMinHeight: Double = 0.15,
-      /** Iteration cap of the Huber-periodogram solver (passes over the
-        * data per exact ordinate). The name predates the Newton/IRLS
-        * solver and is kept because the benchmark harness reads it.
-        */
-      admmIter: Int = 50,
-      /** Skip levels whose robust variance is below this fraction of the
-        * total wavelet variance (speed knob; 0 processes every level).
-        */
-      minVarianceFraction: Double = 0.01,
-      /** Ablation toggles (NR-RobustPeriod sets both to false): Huber
-        * M-periodogram vs vanilla FFT periodogram, and biweight midvariance
-        * vs plain sample variance for level ranking.
-        */
-      useHuberPeriodogram: Boolean = true,
-      useRobustVariance: Boolean = true,
-  )
+  /** The two ablation toggles (NR-RobustPeriod sets both to false): Huber
+    * M-periodogram vs vanilla FFT periodogram, and biweight midvariance vs
+    * plain sample variance for level ranking. Every other setting is fixed
+    * by the paper or DESIGN.md §5 and defined once here.
+    */
+  final case class Config(useHuberPeriodogram: Boolean = true, useRobustVariance: Boolean = true) {
+    /** Daubechies order of the MODWT filters: db10 (Sec. 3.3). */
+    val waveletOrder: Int = 10
+    /** Cap on the MODWT level count J (DESIGN.md §5). */
+    val maxLevels: Int = 10
+    /** HP-filter λ of the preprocessing (Eq. 2); −1 is the length-adaptive λ of DESIGN.md §5. */
+    val hpLambda: Double = -1
+    /** Clip constant c of Ψ in the preprocessing (Sec. 3.2). */
+    val clipC: Double = 3.0
+    /** Huber threshold ζ of the M-periodogram loss (Eq. 7). */
+    val huberZeta: Double = 1.345
+    /** Significance level α of each level's Fisher test (DESIGN.md §5). */
+    val fisherAlpha: Double = 1e-3
+    /** Biased-scale height floor of the ACF peaks Huber-ACF-Med counts (DESIGN.md §5). */
+    val acfMinHeight: Double = 0.15
+    /** Solver passes per exact Huber ordinate (DESIGN.md §5); the name predates Newton/IRLS. */
+    val admmIter: Int = 50
+    /** Levels below this fraction of the total wavelet variance are skipped (DESIGN.md §5). */
+    val minVarianceFraction: Double = 0.01
+  }
 
   /** Per-level diagnostics (mirrors the columns of the paper's Fig. 5). */
   final case class LevelResult(

@@ -22,4 +22,12 @@ object DoubleArrays {
     while (i < x.length) { a(i) = f(x(i)); i += 1 }
     a
   }
+
+  /** Σx added left to right from x(0): the order, and so the bits, of `x.sum`. */
+  def sum(x: Array[Double]): Double = {
+    var s = if (x.isEmpty) 0.0 else x(0)
+    var i = 1
+    while (i < x.length) { s += x(i); i += 1 }
+    s
+  }
 }

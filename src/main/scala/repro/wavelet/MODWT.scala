@@ -24,7 +24,7 @@ object MODWT {
   def filterWidth(l1: Int, j: Int): Int = ((1 << j) - 1) * (l1 - 1) + 1
 
   /** J-level MODWT of `x` with Daubechies order `p` filters. */
-  def transform(x: Array[Double], levels: Int, p: Int = 10): Decomposition = {
+  def transform(x: Array[Double], levels: Int, p: Int): Decomposition = {
     val n = x.length
     require(n >= 2, "series too short for MODWT")
     val g = DoubleArrays.map(Daubechies.scaling(p))(_ / math.sqrt(2.0))
@@ -60,9 +60,10 @@ object MODWT {
 
   /** Default level count used by RobustPeriod: enough octaves to cover
     * periods up to ~N/4 while keeping at least a few non-boundary
-    * coefficients per level.
+    * coefficients per level, at most `maxLevels`. The count does not
+    * depend on the filter order `p`.
     */
-  def defaultLevels(n: Int, p: Int = 10, maxLevels: Int = 10): Int = {
+  def defaultLevels(n: Int, p: Int, maxLevels: Int): Int = {
     val byLength = (math.log(n.toDouble) / math.log(2.0)).toInt - 2
     math.max(1, math.min(byLength, maxLevels))
   }

@@ -124,17 +124,19 @@ class HPFilterSpec extends AnyFunSuite {
 
 class PreprocessSpec extends AnyFunSuite {
 
+  private val cfg = RobustPeriod.Config()
+
   test("output is clipped to ±c") {
     val rnd = new Random(3)
     val y = Array.fill(500)(rnd.nextGaussian()) ++ Array.fill(20)(500.0)
-    val p = Preprocess(y, clipC = 3.0)
+    val p = Preprocess(y, cfg.hpLambda, clipC = 3.0)
     assert(p.forall(v => math.abs(v) <= 3.0 + 1e-9))
   }
 
   test("sine survives preprocessing with shape intact") {
     val n = 600
     val y = Array.tabulate(n)(t => 5.0 + 0.02 * t + math.sin(2 * math.Pi * t / 40))
-    val p = Preprocess(y)
+    val p = Preprocess(y, cfg.hpLambda, cfg.clipC)
     val s = Array.tabulate(n)(t => math.sin(2 * math.Pi * t / 40))
     val corr = p.zip(s).map { case (a, b) => a * b }.sum /
       math.sqrt(p.map(v => v * v).sum * s.map(v => v * v).sum)
@@ -145,12 +147,12 @@ class PreprocessSpec extends AnyFunSuite {
     val n = 500
     val y = Array.tabulate(n)(t => math.sin(2 * math.Pi * t / 25))
     y(100) = 100.0; y(300) = -80.0
-    val p = Preprocess(y)
+    val p = Preprocess(y, cfg.hpLambda, cfg.clipC)
     assert(math.abs(p(100)) <= 3.0 + 1e-9 && math.abs(p(300)) <= 3.0 + 1e-9)
   }
 
   test("constant series maps to zeros without NaN") {
-    val p = Preprocess(Array.fill(100)(42.0))
+    val p = Preprocess(Array.fill(100)(42.0), cfg.hpLambda, cfg.clipC)
     assert(p.forall(v => !v.isNaN && math.abs(v) < 1e-9))
   }
 

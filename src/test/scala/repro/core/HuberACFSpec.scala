@@ -5,6 +5,8 @@ import scala.util.Random
 
 class HuberACFSpec extends AnyFunSuite {
 
+  private val minHeight = RobustPeriod.Config().acfMinHeight
+
   /** O(N²) unbiased normalized ACF oracle. */
   private def directUnbiased(x: Array[Double]): Array[Double] = {
     val n = x.length
@@ -53,12 +55,6 @@ class HuberACFSpec extends AnyFunSuite {
     assert(math.abs(b(270) - u(270) * 30.0 / 300.0) < 1e-9)
   }
 
-  test("fullRange mirrors the half spectrum symmetrically") {
-    val half = Array(4.0, 3.0, 2.0, 1.0) // N = 3 → N' = 6
-    val full = HuberACF.fullRange(half)
-    assert(full.toSeq == Seq(4.0, 3.0, 2.0, 1.0, 2.0, 3.0))
-  }
-
   test("fromPeriodogram on a vanilla padded periodogram = unbiased ACF") {
     val rnd = new Random(5)
     val n = 250
@@ -76,7 +72,7 @@ class HuberACFSpec extends AnyFunSuite {
     val x = Array.tabulate(n)(t => math.sin(2 * math.Pi * t / 50.0))
     val acf = ACF.unbiased(x)
     val k = 2 * n / 50 // padded-index candidate for period 50 (N' = 2N)
-    assert(HuberACF.validate(acf, k, 2 * n).contains(50))
+    assert(HuberACF.validate(acf, k, 2 * n, minHeight).contains(50))
   }
 
   test("validate rejects a candidate whose ACF spacing disagrees") {
@@ -84,7 +80,7 @@ class HuberACFSpec extends AnyFunSuite {
     val x = Array.tabulate(n)(t => math.sin(2 * math.Pi * t / 50.0))
     val acf = ACF.unbiased(x)
     val k = 2 * n / 31 // claims period ≈31; ACF spacing is 50 → outside R_k
-    assert(HuberACF.validate(acf, k, 2 * n).isEmpty)
+    assert(HuberACF.validate(acf, k, 2 * n, minHeight).isEmpty)
   }
 
   test("validate rejects white noise for any plausible candidate") {
@@ -94,15 +90,15 @@ class HuberACFSpec extends AnyFunSuite {
       val x = Array.fill(400)(rnd.nextGaussian())
       val acf = ACF.unbiased(x)
       Seq(10, 20, 40, 80).foreach { per =>
-        if (HuberACF.validate(acf, 2 * 400 / per, 800).isDefined) accepts += 1
+        if (HuberACF.validate(acf, 2 * 400 / per, 800, minHeight).isDefined) accepts += 1
       }
     }
     assert(accepts <= 4, s"$accepts/80 spurious validations")
   }
 
   test("validate handles degenerate inputs") {
-    assert(HuberACF.validate(Array.fill(100)(0.0), 10, 200).isEmpty)
-    assert(HuberACF.validate(Array.fill(100)(1.0), 1, 200).isEmpty) // k < 2
+    assert(HuberACF.validate(Array.fill(100)(0.0), 10, 200, minHeight).isEmpty)
+    assert(HuberACF.validate(Array.fill(100)(1.0), 1, 200, minHeight).isEmpty) // k < 2
   }
 }
 

@@ -60,7 +60,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
       (1 to n / 2).filter(k => math.abs(k - 16) > 3).map(p).max
     val van = HuberPeriodogram.vanilla(dirty)
     val vanOff = offPeakMax(van(_))
-    val hub = HuberPeriodogram.huberFull(dirty, 1.345)
+    val hub = HuberPeriodogram.huberFull(dirty, 1.345, 50)
     val hubOff = offPeakMax(hub(_))
     assert(hubOff < vanOff, s"huber off-peak $hubOff vs vanilla $vanOff")
     // And the Huber peak stays within 40% of the clean peak.
@@ -71,7 +71,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
   test("degenerate frequencies (k=0, Nyquist) fall back without NaN") {
     val rnd = new Random(5)
     val x = Array.fill(64)(rnd.nextGaussian())
-    val p  = HuberPeriodogram.spliced(x, (0, 32), 1.345)
+    val p  = HuberPeriodogram.spliced(x, (0, 32), 1.345, 50)
     val vn = HuberPeriodogram.vanilla(x)
     val p0 = p(0); val pN = p(32)
     assert(!p0.isNaN && !pN.isNaN && p0 >= 0 && pN >= 0)
@@ -82,7 +82,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     val rnd = new Random(6)
     val n = 200
     val x = Array.fill(n)(rnd.nextGaussian())
-    val sp = HuberPeriodogram.spliced(x, (40, 60), zeta = 1.345)
+    val sp = HuberPeriodogram.spliced(x, (40, 60), zeta = 1.345, maxIter = 50)
     val vn = HuberPeriodogram.vanilla(x)
     (1 until 40).foreach(k => assert(sp(k) == vn(k)))
     (61 to 100).foreach(k => assert(sp(k) == vn(k)))
@@ -93,7 +93,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
   test("huberFull covers every index up to n/2") {
     val rnd = new Random(7)
     val x = Array.fill(100)(rnd.nextGaussian())
-    val p = HuberPeriodogram.huberFull(x, 1.345)
+    val p = HuberPeriodogram.huberFull(x, 1.345, 50)
     assert(p.length == 51)
     assert(p.forall(v => v >= 0 && !v.isNaN))
   }
@@ -187,7 +187,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
   private def assertMatchesAdmm(x: Array[Double], ks: Seq[Int]): Unit = {
     val n     = x.length
     val floor = 1e-6 * x.map(v => v * v).sum / n // mean power: the near-zero-ordinate floor
-    val sp    = HuberPeriodogram.huberFull(x, 1.345)
+    val sp    = HuberPeriodogram.huberFull(x, 1.345, 50)
     ks.foreach { k =>
       val want = HuberAdmm.huberAtK(x, k, 1.345, maxIter = 3000, tol = 0.0)
       assert(math.abs(sp(k) - want) <= 1e-6 * math.max(want, floor), s"k=$k: ${sp(k)} vs ADMM $want")
@@ -251,7 +251,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
     val (_, x, ks) = tailInputs.head
     val n  = x.length
     val vn = HuberPeriodogram.vanilla(x)
-    val hf = HuberPeriodogram.huberFull(x, 1.345)
+    val hf = HuberPeriodogram.huberFull(x, 1.345, 50)
     def norm(p: Double) = math.sqrt(4 * p / n) // P = (n/4)‖β‖²
     val crossed = ks.filter(k => (norm(vn(k)) - 1.345) * (norm(hf(k)) - 1.345) < 0)
     val trace   = ks.map(k => s"$k: ${norm(vn(k))} -> ${norm(hf(k))}").mkString(", ")
@@ -324,7 +324,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
 
   for ((name, x, band) <- parityInputs) {
     test(s"even pass then odd fill equals spliced bitwise: $name") {
-      val want = HuberPeriodogram.spliced(x, band, 1.345)
+      val want = HuberPeriodogram.spliced(x, band, 1.345, 50)
       val vn   = HuberPeriodogram.vanilla(x)
       val sp   = new HuberPeriodogram.Spliced(x, band, 1.345, 50)
       val even = sp.solveEven().clone()
@@ -333,7 +333,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
       assert(bits(sp.solveOdd()) == bits(want))
       val lo = math.max(1, band._1); val hi = math.min((x.length - 1) / 2, band._2)
       for (k <- Seq(lo, lo + 1, (lo + hi) / 2, hi))
-        assert(bits(Array(HuberPeriodogram.spliced(x, (k, k), 1.345)(k))) == bits(Array(want(k))), s"k=$k")
+        assert(bits(Array(HuberPeriodogram.spliced(x, (k, k), 1.345, 50)(k))) == bits(Array(want(k))), s"k=$k")
       assert((lo to hi).exists(k => want(k) != vn(k)))
     }
   }
@@ -493,7 +493,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
         (if (r.nextDouble() < frac) scale * r.nextGaussian() else 0.0)))
     }
     val prop = Prop.forAllNoShrink(inputs) { x =>
-      val sp  = HuberPeriodogram.huberFull(x, zeta)
+      val sp  = HuberPeriodogram.huberFull(x, zeta, 50)
       val bad = (1 until x.length / 2).filterNot { k =>
         // 600 ADMM steps suffice at most ordinates; the rest get 12000.
         close(x, sp(k), HuberAdmm.huberAtK(x, k, zeta, maxIter = 600, tol = 0.0), 1e-9) ||

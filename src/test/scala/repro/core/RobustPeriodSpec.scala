@@ -183,8 +183,29 @@ class RobustPeriodSpec extends AnyFunSuite {
       val got  = RobustPeriod.detect(y.map(v => a * v + b)).periods
       (got == want) :| s"cond $cond seed $seed a $a b $b: $got vs $want"
     }
+    check40(prop, 20210620L)
+  }
+
+  test("the same periods after adding c·t, |c| ∈ [1e-3, 10] (Table 2 series)") {
+    val cases = for {
+      cond <- Gen.choose(0, 3)
+      seed <- Gen.choose(0L, 100000L)
+      logC <- Gen.choose(-3.0, 1.0)
+      sign <- Gen.oneOf(-1.0, 1.0)
+    } yield (cond, seed, sign * math.pow(10, logC))
+    val prop = Prop.forAllNoShrink(cases) { case (cond, seed, c) =>
+      val y    = table2Series(cond, seed)
+      val want = RobustPeriod.detect(y).periods
+      val got  = RobustPeriod.detect(Array.tabulate(y.length)(t => y(t) + c * t)).periods
+      (got == want) :| s"cond $cond seed $seed c $c: $got vs $want"
+    }
+    check40(prop, 20210621L)
+  }
+
+  /** Checks `prop` on 40 cases drawn from a fixed seed, on one thread. */
+  private def check40(prop: Prop, seed: Long): Unit = {
     val params = Check.Parameters.default.withMinSuccessfulTests(40).withWorkers(1)
-      .withInitialSeed(Seed(20210620L))
+      .withInitialSeed(Seed(seed))
     val res = Check.check(params, prop)
     assert(res.passed, res.status)
   }

@@ -73,9 +73,9 @@ class MODWTSpec extends AnyFunSuite {
   }
 
   test("defaultLevels scales with log2 N and respects the cap") {
-    assert(MODWT.defaultLevels(1000) == 7)
-    assert(MODWT.defaultLevels(16) == 2)
-    assert(MODWT.defaultLevels(1 << 20, maxLevels = 10) == 10)
+    assert(MODWT.defaultLevels(1000, 10, maxLevels = 10) == 7)
+    assert(MODWT.defaultLevels(16, 10, maxLevels = 10) == 2)
+    assert(MODWT.defaultLevels(1 << 20, 10, maxLevels = 10) == 10)
   }
 
   test("level-1 coefficients match direct convolution with unit filters") {
