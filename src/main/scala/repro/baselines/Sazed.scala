@@ -28,16 +28,15 @@ object Sazed {
     }
   }
 
-  /** A: lag of the largest interior local maximum of the ACF. */
-  def acfPeak(x: Array[Double]): Option[Int] = {
-    val a = ACF.biased(x)
+  /** A: lag of the largest interior local maximum of a series' ACF `a`. */
+  def acfPeak(a: Array[Double]): Option[Int] = {
     var best = Double.NegativeInfinity; var lag = -1
     var t = 2
     while (t < a.length - 1) {
       if (a(t) >= a(t - 1) && a(t) >= a(t + 1) && a(t) > best) { best = a(t); lag = t }
       t += 1
     }
-    if (lag >= 2 && lag <= x.length / 2) Some(lag) else None
+    if (lag >= 2 && lag <= a.length / 2) Some(lag) else None
   }
 
   /** Z: average distance between zero crossings, doubled (a full period has
@@ -59,12 +58,10 @@ object Sazed {
     }
   }
 
-  /** The six ensemble votes (S, A, Z on x; S, A, Z on acf(x)). */
-  def candidates(x: Array[Double]): Seq[Int] = {
-    val a = ACF.biased(x)
-    (Seq(spectral(x), acfPeak(x), zeroCrossing(x)) ++
-      Seq(spectral(a), acfPeak(a), zeroCrossing(a))).flatten
-  }
+  /** The six ensemble votes (S, A, Z on x; S, A, Z on its ACF `a`). */
+  def candidates(x: Array[Double], a: Array[Double]): Seq[Int] =
+    (Seq(spectral(x), acfPeak(a), zeroCrossing(x)) ++
+      Seq(spectral(a), acfPeak(ACF.biased(a)), zeroCrossing(a))).flatten
 
   /** ACF evidence of period p: mean peak *prominence* at its multiples —
     * ACF at m·p minus the mean ACF at the flanking half-period offsets.
@@ -98,21 +95,21 @@ object Sazed {
 
 object SazedMaj extends Detrended("SAZED_maj") {
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
-    val cands = Sazed.candidates(x)
+    val a     = ACF.biased(x)
+    val cands = Sazed.candidates(x, a)
     if (cands.isEmpty) return Seq.empty
     val cl = Sazed.clusters(cands)
     val maxSize = cl.map(_._2).max
     // Modal cluster; ties broken by ACF evidence.
-    val a = ACF.biased(x)
     Seq(cl.filter(_._2 == maxSize).maxBy(c => Sazed.acfEvidence(a, c._1))._1)
   }
 }
 
 object SazedOpt extends Detrended("SAZED_opt") {
   protected def detectDetrended(x: Array[Double]): Seq[Int] = {
-    val cands = Sazed.candidates(x).distinct
+    val a     = ACF.biased(x)
+    val cands = Sazed.candidates(x, a).distinct
     if (cands.isEmpty) return Seq.empty
-    val a = ACF.biased(x)
     Seq(cands.maxBy(c => Sazed.acfEvidence(a, c)))
   }
 }

@@ -50,7 +50,7 @@ object HuberPeriodogram {
     * regressor pair is degenerate, and the ordinate stays vanilla.
     * Every exact ordinate reads the length-n plan's cos/sin(2πm/n) table
     * at m = k·t mod n, so no error accrues along t as it would with a
-    * rotation recurrence. `maxIter` caps the solver's passes over the data
+    * rotation recurrence. `maxIter` caps the iterates the solver evaluates
     * per ordinate.
     */
   final class Spliced(x: Array[Double], exactBand: (Int, Int), zeta: Double, maxIter: Int) {
@@ -123,20 +123,20 @@ object HuberPeriodogram {
     * φ_t = [cos(2πkt/n), sin(2πkt/n)], 0 < k < n/2, started at the
     * least-squares β = 2·(c1, c2)/n, where (c1, c2) = Σ_t φ_t x_t.
     *
-    * Each iteration is one pass over the data at the current β that sums
-    * the objective f, the gradient g = Σ φ ψ(r) and the Newton Hessian
-    * H_N = Σ_{|r|≤ζ} φφᵀ. The step is −H_N⁻¹g when H_N is well
-    * conditioned and otherwise −H_I⁻¹g, with the IRLS Hessian
-    * H_I = Σ min(1, ζ/|r|) φφᵀ: the weighted-least-squares (IRLS) update,
-    * a majorize–minimize step that cannot raise f (Holland & Welsch 1977).
-    * An iterate whose objective rose is discarded and the IRLS step from
-    * the last accepted one is taken instead; should that step raise f too,
-    * the rise is rounding and the accepted iterate is final. f "rose" only
-    * if it exceeds the accepted objective by more than 2⁻⁴⁴ ≈ 5.7e-14 of
-    * the summed magnitudes of both passes' terms, so an iterate that
-    * differs from the accepted one by f's rounding alone is accepted and
-    * the solver does not stop at that floor. Otherwise stops when
-    * ‖Δβ‖ ≤ 1e-12·(1 + ‖β‖) or after `maxIter` passes.
+    * Each iteration evaluates one iterate by one pass over the data that
+    * sums the objective f, the gradient g = Σ φ ψ(r) and the Newton
+    * Hessian H_N = Σ_{|r|≤ζ} φφᵀ, and steps by −H_N⁻¹g when H_N is well
+    * conditioned. An iterate whose objective rose is discarded. If H_N is
+    * ill conditioned or the iterate was discarded, the step is the IRLS
+    * (weighted-least-squares) step −H_I⁻¹g from the last accepted iterate,
+    * H_I = Σ min(1, ζ/|r|) φφᵀ, a majorize–minimize step that cannot raise
+    * f (Holland & Welsch 1977); should it raise f all the same, the rise is
+    * rounding and the accepted iterate is final. f "rose" only if it
+    * exceeds the accepted objective by more than 2⁻⁴⁴ ≈ 5.7e-14 of the
+    * summed magnitudes of both passes' terms, so an iterate that differs
+    * from the accepted one by f's rounding alone is accepted and the
+    * solver does not stop at that floor. Otherwise stops when
+    * ‖Δβ‖ ≤ 1e-12·(1 + ‖β‖) or after `maxIter` iterates.
     *
     * Two-sided safe screening. At an iterate with ‖β‖ ≤ ζ every point with
     * |x_t| ≤ ζ − ‖β‖ is an inlier and every point with |x_t| ≥ ζ + ‖β‖ an
@@ -156,13 +156,13 @@ object HuberPeriodogram {
     *    Σ|x_t|, Σ φ_t x_t, S = Σ sign(x_t)·φ_t and Σ φ_tφ_tᵀ over O, and a
     *    pass adds ζΣ|x_t| − ζ·βᵀS − |O|ζ²/2 to f and −ζS to g, nothing to
     *    H_N, and takes O's terms out of the certified totals.
-    *  - A pass visits only the keys in between, each point as the full
-    *    pass would. At B < ‖β‖ ≤ ζ it takes O as empty, and at ‖β‖ > ζ it
-    *    certifies nothing and runs over t = 0..n−1.
+    *  - A pass visits only the keys in between, each point as the exact
+    *    pass would. At B < ‖β‖ ≤ ζ it takes O as empty.
     *
-    * O's share of H_I, Σ_O ζ/|r_t|·φ_tφ_tᵀ, is not linear in β, so a pass
-    * leaves it out, and it is summed by one more loop over O at the
-    * accepted iterate only when an IRLS step is taken there.
+    * The rare cases take [[exactPass]] over every point instead: an
+    * iterate with ‖β‖ > ζ, where nothing is certified, and each IRLS step,
+    * whose H_I and g it sums at the accepted iterate. No benchmark or
+    * golden corpus reaches either; the ADMM comparisons of the tests do.
     */
   private def huberAtK(x: Array[Double], cos: Array[Double], sin: Array[Double],
                        keys: Array[Long], sq: Array[Double], k: Int, zeta: Double,
@@ -190,12 +190,9 @@ object HuberPeriodogram {
       o11 += c * c; o12 += c * s; o22 += s * s
     }
     val oHalfZeta2 = 0.5 * zeta * zeta * (keys.length - oStart)
-    // Last accepted iterate: its objective, the magnitude f was summed
-    // from, its gradient and its H_I less O's share (if its pass used O).
+    // Last accepted iterate, its objective and the magnitude f was summed from.
     var a1 = ls1; var a2 = ls2
     var fa = Double.PositiveInfinity; var ma = 0.0
-    var ag1 = 0.0; var ag2 = 0.0
-    var aw11 = 0.0; var aw12 = 0.0; var aw22 = 0.0
     // Iterate to evaluate next, and whether it came from an IRLS step.
     var b1 = ls1; var b2 = ls2
     var viaIrls = false
@@ -204,7 +201,6 @@ object HuberPeriodogram {
     while (it < maxIter && !done) {
       var f = 0.0; var g1 = 0.0; var g2 = 0.0
       var n11 = 0.0; var n12 = 0.0; var n22 = 0.0
-      var w11 = 0.0; var w12 = 0.0; var w22 = 0.0
       var mag = 0.0
       val bb = b1 * b1 + b2 * b2
       if (bb <= zeta * zeta) {
@@ -227,14 +223,10 @@ object HuberPeriodogram {
             f += 0.5 * r * r
             g1 += c * r; g2 += s * r
             n11 += cc; n12 += cs; n22 += ss
-            w11 += cc; w12 += cs; w22 += ss
           } else {
-            val ar = math.abs(r)
             val psi = if (r > 0) zeta else -zeta
-            f += zeta * ar - 0.5 * zeta * zeta
+            f += zeta * math.abs(r) - 0.5 * zeta * zeta
             g1 += c * psi; g2 += s * psi
-            val w = zeta / ar
-            w11 += w * cc; w12 += w * cs; w22 += w * ss
           }
           i -= 1
         }
@@ -254,30 +246,9 @@ object HuberPeriodogram {
         mag += 0.5 * (math.abs(bpb) + 2.0 * math.abs(bq) + sq(i + 1))
         g1 += pb1 - q1; g2 += pb2 - q2
         n11 += p11; n12 += p12; n22 += p22
-        w11 += p11; w12 += p12; w22 += p22
       } else {
-        var t = 0; var idx = 0
-        while (t < n) {
-          val c = cos(idx); val s = sin(idx)
-          val r = c * b1 + s * b2 - x(t)
-          val cc = c * c; val cs = c * s; val ss = s * s
-          if (math.abs(r) <= zeta) {
-            f += 0.5 * r * r
-            g1 += c * r; g2 += s * r
-            n11 += cc; n12 += cs; n22 += ss
-            w11 += cc; w12 += cs; w22 += ss
-          } else {
-            val ar = math.abs(r)
-            val psi = if (r > 0) zeta else -zeta
-            f += zeta * ar - 0.5 * zeta * zeta
-            g1 += c * psi; g2 += s * psi
-            val w = zeta / ar
-            w11 += w * cc; w12 += w * cs; w22 += w * ss
-          }
-          t += 1
-          idx += k
-          if (idx >= n) idx -= n
-        }
+        val e = exactPass(x, cos, sin, k, zeta, b1, b2)
+        f = e(0); g1 = e(1); g2 = e(2); n11 = e(3); n12 = e(4); n22 = e(5)
         mag = f // every term is nonnegative
       }
       it += 1
@@ -285,8 +256,6 @@ object HuberPeriodogram {
       var irls = false
       if (f - fa <= RoundingAllowance * (mag + ma)) {
         a1 = b1; a2 = b2; fa = f; ma = mag
-        ag1 = g1; ag2 = g2
-        aw11 = w11; aw12 = w12; aw22 = w22
         val nTr  = n11 + n22
         val nDet = n11 * n22 - n12 * n12
         viaIrls = !(nDet > 1e-6 * nTr * nTr) // λ_min/λ_max of H_N ≲ 1e-6
@@ -298,26 +267,51 @@ object HuberPeriodogram {
       } else if (viaIrls) done = true // an IRLS step cannot raise f: rounding
       else { viaIrls = true; irls = true } // retry from a with its IRLS step
       if (irls) {
-        var h11 = aw11; var h12 = aw12; var h22 = aw22
-        if (a1 * a1 + a2 * a2 <= bO * bO) { // a's pass used O
-          var i = oStart
-          while (i < keys.length) {
-            val t = keys(i).toInt
-            val idx = if (narrow) k * t % n else ((k.toLong * t) % n).toInt
-            val c = cos(idx); val s = sin(idx)
-            val w = zeta / math.abs(c * a1 + s * a2 - x(t))
-            h11 += w * c * c; h12 += w * c * s; h22 += w * s * s
-            i += 1
-          }
-        }
+        val e = exactPass(x, cos, sin, k, zeta, a1, a2)
+        val h11 = e(6); val h12 = e(7); val h22 = e(8)
         val hDet = h11 * h22 - h12 * h12
-        d1 = -(h22 * ag1 - h12 * ag2) / hDet
-        d2 = -(h11 * ag2 - h12 * ag1) / hDet
+        d1 = -(h22 * e(1) - h12 * e(2)) / hDet
+        d2 = -(h11 * e(2) - h12 * e(1)) / hDet
       }
       done ||= !(math.hypot(d1, d2) > 1e-12 * (1.0 + math.hypot(a1, a2)))
       b1 = a1 + d1; b2 = a2 + d2
     }
     n / 4.0 * (a1 * a1 + a2 * a2)
+  }
+
+  /** One pass over t = 0..n−1 at β = (b1, b2), the twiddle index advanced
+    * by k mod n: f, g, H_N and the IRLS Hessian H_I = Σ min(1, ζ/|r|)φφᵀ,
+    * as (f, g1, g2, n11, n12, n22, w11, w12, w22).
+    */
+  private def exactPass(x: Array[Double], cos: Array[Double], sin: Array[Double], k: Int,
+                        zeta: Double, b1: Double, b2: Double): Array[Double] = {
+    val n = x.length
+    var f = 0.0; var g1 = 0.0; var g2 = 0.0
+    var n11 = 0.0; var n12 = 0.0; var n22 = 0.0
+    var w11 = 0.0; var w12 = 0.0; var w22 = 0.0
+    var t = 0; var idx = 0
+    while (t < n) {
+      val c = cos(idx); val s = sin(idx)
+      val r = c * b1 + s * b2 - x(t)
+      val cc = c * c; val cs = c * s; val ss = s * s
+      if (math.abs(r) <= zeta) {
+        f += 0.5 * r * r
+        g1 += c * r; g2 += s * r
+        n11 += cc; n12 += cs; n22 += ss
+        w11 += cc; w12 += cs; w22 += ss
+      } else {
+        val ar = math.abs(r)
+        val psi = if (r > 0) zeta else -zeta
+        f += zeta * ar - 0.5 * zeta * zeta
+        g1 += c * psi; g2 += s * psi
+        val w = zeta / ar
+        w11 += w * cc; w12 += w * cs; w22 += w * ss
+      }
+      t += 1
+      idx += k
+      if (idx >= n) idx -= n
+    }
+    Array(f, g1, g2, n11, n12, n22, w11, w12, w22)
   }
 
   /** Allowed rise of f, relative to the magnitude it was summed from. */

@@ -30,7 +30,7 @@ object RobustPeriod {
     val fisherAlpha: Double = 1e-3
     /** Biased-scale height floor of the ACF peaks Huber-ACF-Med counts (DESIGN.md §5). */
     val acfMinHeight: Double = 0.15
-    /** Solver passes per exact Huber ordinate (DESIGN.md §5); the name predates Newton/IRLS. */
+    /** Solver iterates per exact Huber ordinate (DESIGN.md §5); the name predates Newton/IRLS. */
     val admmIter: Int = 50
     /** Levels below this fraction of the total wavelet variance are skipped (DESIGN.md §5). */
     val minVarianceFraction: Double = 0.01

@@ -213,7 +213,7 @@ class HuberPeriodogramSpec extends AnyFunSuite {
   }
 
   // Zero-padded inputs: zeros are certified while ‖β‖ ≤ ζ and take the
-  // full pass otherwise; these cover both sides of that condition.
+  // exact pass otherwise; these cover both sides of that condition.
   private val tailInputs: Seq[(String, Array[Double], Seq[Int])] = {
     val n = 400
     // Amplitude-4 sine (β ≈ 2 after padding) with 10% gross outliers: at

@@ -18,7 +18,7 @@ class DWTSpec extends AnyFunSuite {
 
   test("detail lengths halve per level") {
     val x = Array.fill(320)(1.0)
-    val dec = DWT.transform(x, 3, 2)
+    val dec = DWT.transform(x, 3, 4)
     assert(dec.details(0).length == 160)
     assert(dec.details(1).length == 80)
     assert(dec.details(2).length == 40)
@@ -27,7 +27,7 @@ class DWTSpec extends AnyFunSuite {
 
   test("non multiple-of-2^J input truncated, not crashed") {
     val x = Array.fill(1000)(1.0)
-    val dec = DWT.transform(x, 4, 2) // usable = 992
+    val dec = DWT.transform(x, 4, 4) // usable = 992
     assert(dec.details(0).length == 496)
   }
 
