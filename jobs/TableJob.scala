@@ -13,12 +13,13 @@ object TableJob {
 
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: TableJob <table> [count]; table is 1-6, or 7 for Tables 7 and 8")
-    val table = args(0).toInt
-    val count = args.lift(1).map(_.toInt).getOrElse(table match {
-      case 6 => 40
-      case 7 => 50
-      case _ => 100
-    })
+    val table = args(0).toIntOption.getOrElse(invalid(s"unknown table ${args(0)}"))
+    val count = args.lift(1).map(c => c.toIntOption.getOrElse(invalid(s"non-numeric count $c")))
+      .getOrElse(table match {
+        case 6 => 40
+        case 7 => 50
+        case _ => 100
+      })
     val spark = SparkSession.builder.appName(s"robustperiod-table$table")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
@@ -43,10 +44,12 @@ object TableJob {
         val (rt, f1) = Tables.table7and8(spark, count)
         render(rt, "Table 7: runtime (cond | algo | avg_ms | n)") +
           render(f1, s"Table 8: F1 vs length $detection")
-      case _ =>
-        throw new IllegalArgumentException(s"unknown table $table; valid: 1, 2, 3, 4, 5, 6, 7 (Tables 7 and 8)")
+      case _ => invalid(s"unknown table $table")
     }
   }
+
+  private def invalid(problem: String): Nothing =
+    throw new IllegalArgumentException(s"$problem; valid: 1, 2, 3, 4, 5, 6, 7 (Tables 7 and 8)")
 
   private def render(df: DataFrame, title: String): String = {
     val sb = new StringBuilder(s"\n=== $title ===\n")

@@ -47,15 +47,8 @@ object Ablations {
       val pHalf = huberPeriodogram(y)
       val cands = SiegelDetector.detectFromPeriodogram(pHalf, 2 * n)
       val acf   = HuberACF.fromPeriodogram(pHalf)
-      val out   = scala.collection.mutable.ArrayBuffer.empty[Int]
-      cands.foreach { c =>
-        AutoPeriod.hillValidate(acf, c.toDouble, 2 * n).foreach { refined =>
-          if (refined <= n / 2 &&
-              !out.exists(o => math.abs(o - refined) <= math.max(1, 0.05 * refined)))
-            out += refined
-        }
-      }
-      out.toSeq
+      AutoPeriod.distinctPeriods(
+        cands.flatMap(c => AutoPeriod.hillValidate(acf, c.toDouble, 2 * n)).filter(_ <= n / 2))
     }
   }
 

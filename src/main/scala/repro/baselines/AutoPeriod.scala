@@ -66,14 +66,18 @@ class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
       .filter(pHalf(_) > thresh)
       .sortBy(k => -pHalf(k))
       .map(k => n.toDouble / k)
+    distinctPeriods(cands.flatMap(hillValidate(acf, _, n))).filter(p => p >= 2 && p <= n / 2)
+  }
+
+  /** `refined` in order, less each period within max(1, 0.05·p) of one
+    * already kept: the de-duplication of hill-validated candidates.
+    */
+  private[baselines] def distinctPeriods(refined: Seq[Int]): Seq[Int] = {
     val out = scala.collection.mutable.ArrayBuffer.empty[Int]
-    cands.foreach { c =>
-      hillValidate(acf, c, n).foreach { refined =>
-        if (!out.exists(o => math.abs(o - refined) <= math.max(1, 0.05 * refined)))
-          out += refined
-      }
+    refined.foreach { p =>
+      if (!out.exists(o => math.abs(o - p) <= math.max(1, 0.05 * p))) out += p
     }
-    out.filter(p => p >= 2 && p <= n / 2).toSeq
+    out.toSeq
   }
 
   /** A candidate is kept iff it lies on an ACF hill: within the candidate's

@@ -1,5 +1,7 @@
 package repro.forecast
 
+import repro.numerics.Banded
+
 /** TBATS substitute for the downstream forecasting study (Table 6): a
   * multi-seasonal harmonic regression — Fourier terms for each supplied
   * period plus a linear trend — fit by ridge-regularized least squares.
@@ -29,8 +31,11 @@ object HarmonicForecaster {
     }
   }
 
+  /** Ridge weight: the normal matrix is AᵀA + Ridge·n·I. */
+  private val Ridge = 1e-4
+
   /** Fit on `train` (t = 0..n−1) with K = min(3, p/2) harmonics per period. */
-  def fit(train: Array[Double], periods: Seq[Int], ridge: Double = 1e-4): Model = {
+  def fit(train: Array[Double], periods: Seq[Int]): Model = {
     val usable = periods.distinct.filter(p => p >= 2 && p <= train.length).sorted
     val harm   = usable.map(p => math.min(3, p / 2))
     val dim    = 2 + 2 * harm.sum
@@ -51,69 +56,33 @@ object HarmonicForecaster {
       }
       r
     }
-    // Normal equations with ridge; solved by Gaussian elimination with
-    // partial pivoting (dim is tiny: ≤ ~2 + 6·|periods|).
-    val ata = Array.ofDim[Double](dim, dim)
-    val atb = new Array[Double](dim)
+    // Upper triangle of the ridge normal matrix in `Banded`'s storage, entry
+    // (i, j ≥ i) at band(j − i)(i), bandwidth dim − 1. The ridge makes it
+    // SPD, so the banded Cholesky solves it.
+    val band = Array.ofDim[Double](dim, dim)
+    val atb  = new Array[Double](dim)
     var t = 0
     while (t < n) {
       val r = row(t)
       var i = 0
       while (i < dim) {
         atb(i) += r(i) * train(t)
-        var j = 0
-        while (j < dim) { ata(i)(j) += r(i) * r(j); j += 1 }
+        var j = i
+        while (j < dim) { band(j - i)(i) += r(i) * r(j); j += 1 }
         i += 1
       }
       t += 1
     }
     var d = 0
-    while (d < dim) { ata(d)(d) += ridge * n; d += 1 }
-    val coefsScaled = solve(ata, atb)
-    // Undo the trend scaling so predict() can use raw t.
-    val coefs = coefsScaled.clone()
-    coefs(1) = coefsScaled(1) / n
+    while (d < dim) { band(0)(d) += Ridge * n; d += 1 }
+    val coefs = Banded.solve(band, atb)
+    coefs(1) /= n // undo the trend scaling so predict() can use raw t
     Model(usable, harm, coefs)
   }
 
   /** Forecast `horizon` points following a train set of length `n0`. */
   def forecast(model: Model, n0: Int, horizon: Int): Array[Double] =
     Array.tabulate(horizon)(h => model.predict((n0 + h).toDouble))
-
-  private def solve(a: Array[Array[Double]], b: Array[Double]): Array[Double] = {
-    val n = b.length
-    val m = a.map(_.clone())
-    val x = b.clone()
-    var col = 0
-    while (col < n) {
-      var piv = col
-      var r = col + 1
-      while (r < n) { if (math.abs(m(r)(col)) > math.abs(m(piv)(col))) piv = r; r += 1 }
-      val tmp = m(col); m(col) = m(piv); m(piv) = tmp
-      val tb = x(col); x(col) = x(piv); x(piv) = tb
-      val p = m(col)(col)
-      require(math.abs(p) > 1e-12, "singular normal matrix")
-      r = col + 1
-      while (r < n) {
-        val f = m(r)(col) / p
-        var c = col
-        while (c < n) { m(r)(c) -= f * m(col)(c); c += 1 }
-        x(r) -= f * x(col)
-        r += 1
-      }
-      col += 1
-    }
-    val out = new Array[Double](n)
-    var i = n - 1
-    while (i >= 0) {
-      var s = x(i)
-      var j = i + 1
-      while (j < n) { s -= m(i)(j) * out(j); j += 1 }
-      out(i) = s / m(i)(i)
-      i -= 1
-    }
-    out
-  }
 }
 
 /** Forecast error metrics. */

@@ -2,16 +2,18 @@ package repro.numerics
 
 /** Symmetric positive-definite banded linear solver (banded Cholesky).
   *
-  * Storage: `band(d)(i)` holds A(i, i+d) for diagonal offset d in 0..bw.
-  * This is the substrate for the Hodrick–Prescott trend filter, whose
-  * normal matrix `I + 2λ DᵀD` is pentadiagonal (bw = 2); the solve is O(N·bw²).
+  * Storage: `band(d)(i)` holds A(i, i+d) for diagonal offset d in 0..bw;
+  * the solve is O(N·bw²). The program's one linear solver, with two callers:
+  * the Hodrick–Prescott trend filter, whose normal matrix `I + 2λ DᵀD` is
+  * pentadiagonal (bw = 2), and the harmonic forecaster, whose dense ridge
+  * normal equations are a full band (bw = dim − 1).
   */
 object Banded {
 
   /** Cholesky factorization A = L Lᵀ of a symmetric banded SPD matrix.
     * Returns L in the same banded layout (`l(d)(i)` = L(i+d, i)).
     */
-  def cholesky(band: Array[Array[Double]]): Array[Array[Double]] = {
+  private def cholesky(band: Array[Array[Double]]): Array[Array[Double]] = {
     val bw = band.length - 1
     val n  = band(0).length
     val l  = Array.ofDim[Double](bw + 1, n)
@@ -49,8 +51,9 @@ object Banded {
     l
   }
 
-  /** Solve A x = b given the banded Cholesky factor L (forward + back subst). */
-  def solveWithFactor(l: Array[Array[Double]], b: Array[Double]): Array[Double] = {
+  /** Solve A x = b: factor A = L Lᵀ, then forward and back substitution. */
+  def solve(band: Array[Array[Double]], b: Array[Double]): Array[Double] = {
+    val l  = cholesky(band)
     val bw = l.length - 1
     val n  = b.length
     val y  = new Array[Double](n)
@@ -73,7 +76,4 @@ object Banded {
     }
     x
   }
-
-  def solve(band: Array[Array[Double]], b: Array[Double]): Array[Double] =
-    solveWithFactor(cholesky(band), b)
 }

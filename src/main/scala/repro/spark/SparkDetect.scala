@@ -5,9 +5,7 @@ import repro.baselines.Detector
 import repro.eval.Scoring
 import repro.synth.Datasets.Series
 
-/** Rows exchanged through the Spark layer. */
-final case class SeriesRow(id: Long, cond: String, values: Array[Double], truth: Array[Int])
-
+/** Rows the Spark layer emits; its input rows are `Datasets.Series`. */
 final case class DetectionRow(id: Long, cond: String, algo: String,
                               detected: Array[Int], truth: Array[Int], millis: Double)
 
@@ -19,7 +17,7 @@ final case class ScoreRow(id: Long, cond: String, algo: String, tol: Double,
 
 /** Batch detection driver: the algorithm is per-series, so the Spark
   * parallelization (per the repro guidance) is `mapPartitions` over a
-  * `Dataset[SeriesRow]` — each partition runs the detectors on its series
+  * `Dataset[Series]` — each partition runs the detectors on its series
   * with no shuffle until evaluation.
   */
 object SparkDetect {
@@ -29,9 +27,9 @@ object SparkDetect {
     * each partition in input order. They are read straight from the
     * driver's list, so no exchange runs before detection.
     */
-  def toDataset(spark: SparkSession, series: Seq[Series]): Dataset[SeriesRow] = {
+  def toDataset(spark: SparkSession, series: Seq[Series]): Dataset[Series] = {
     import spark.implicits._
-    val rows = series.map(s => SeriesRow(s.id, s.cond, s.values, s.truth)).toIndexedSeq
+    val rows = series.toIndexedSeq
     val k    = math.max(1, math.min(rows.size, spark.sparkContext.defaultParallelism))
     val bins = (0 until k).map(b => rows.indices.filter(_ % k == b).map(rows))
     spark.createDataset(spark.sparkContext.parallelize(bins, k).flatMap(bin => bin))
@@ -40,7 +38,7 @@ object SparkDetect {
   /** Run every detector on every series; wall-clock per detection recorded
     * for the Table 7 runtime study.
     */
-  def detect(ds: Dataset[SeriesRow], detectors: Seq[Detector]): Dataset[DetectionRow] = {
+  def detect(ds: Dataset[Series], detectors: Seq[Detector]): Dataset[DetectionRow] = {
     import ds.sparkSession.implicits._
     ds.mapPartitions { it =>
       it.flatMap(s => detectors.iterator.map(d => timed(d, s.id, s.cond, s.values, s.truth)))

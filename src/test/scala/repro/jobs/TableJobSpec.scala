@@ -22,4 +22,11 @@ class TableJobSpec extends SparkSpec {
     assert(e.getMessage.contains("unknown table 9"))
     assert(e.getMessage.contains("valid: 1, 2, 3, 4, 5, 6, 7"), e.getMessage)
   }
+
+  test("a non-numeric table id or count fails before a session is built, listing the valid ids") {
+    for (args <- Seq(Array("x"), Array("2", "x"))) {
+      val e = intercept[IllegalArgumentException](TableJob.main(args))
+      assert(e.getMessage.contains("valid: 1, 2, 3, 4, 5, 6, 7"), e.getMessage)
+    }
+  }
 }

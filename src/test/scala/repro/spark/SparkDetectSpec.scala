@@ -158,27 +158,11 @@ class SparkDetectSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
 class SeriesAssemblySpec extends SparkSpec {
 
-  /** Inverse of `SeriesAssembly.fromLong`: explode a wide dataset to long format. */
-  private def toLong(ds: Dataset[SeriesRow]): DataFrame = {
+  /** Explode a wide dataset to long format (id, cond, t, value). */
+  private def toLong(ds: Dataset[Datasets.Series]): DataFrame = {
     import ds.sparkSession.implicits._
     ds.flatMap(s => s.values.zipWithIndex.map { case (v, t) => (s.id, s.cond, t.toLong, v) })
       .toDF("id", "cond", "t", "value")
-  }
-
-  test("long → wide assembly reconstructs the original values in order") {
-    import spark.implicits._
-    val series = Datasets.singlePeriodSin(4, 0.1, 0.01, seed = 77, n = 200)
-    val wide = SparkDetect.toDataset(spark, series)
-    val long = toLong(wide)
-    // Shuffle row order to prove sort-on-assembly works.
-    val shuffled = long.orderBy($"value")
-    val truth = series.map(s => s.id -> s.truth).toMap
-    val back = SeriesAssembly.fromLong(shuffled, truth).collect().sortBy(_.id)
-    val orig = series.sortBy(_.id)
-    back.zip(orig).foreach { case (b, o) =>
-      assert(b.values.sameElements(o.values), s"series ${o.id} mismatch")
-      assert(b.truth.sameElements(o.truth))
-    }
   }
 
   test("assembly row count via SQL matches DuckDB (oracle)") {
@@ -189,15 +173,5 @@ class SeriesAssemblySpec extends SparkSpec {
     val sql = "SELECT id, COUNT(*) AS npts, MIN(CAST(t AS BIGINT)) AS tmin, MAX(CAST(t AS BIGINT)) AS tmax FROM longpts GROUP BY id ORDER BY id"
     val agg = spark.sql(sql)
     Oracle.assertEquivalent(agg, sql, "longpts" -> long.select($"id", $"t"))
-  }
-
-  test("detection after assembly equals detection on original arrays") {
-    val series = Datasets.singlePeriodSin(3, 0.1, 0.01, seed = 99)
-    val long = toLong(SparkDetect.toDataset(spark, series))
-    val truth = series.map(s => s.id -> s.truth).toMap
-    val assembled = SeriesAssembly.fromLong(long, truth)
-    val det = SparkDetect.detect(assembled, Seq(Tables.robust)).collect().sortBy(_.id)
-    val direct = series.sortBy(_.id).map(s => Tables.robust.detect(s.values))
-    det.zip(direct).foreach { case (d, e) => assert(d.detected.toSeq == e) }
   }
 }
