@@ -11,9 +11,13 @@ import repro.eval.Tables
   */
 object TableJob {
 
+  /** The table ids `main` and `report` accept. */
+  private val TableIds = 1 to 7
+
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: TableJob <table> [count]; table is 1-6, or 7 for Tables 7 and 8")
-    val table = args(0).toIntOption.getOrElse(invalid(s"unknown table ${args(0)}"))
+    // Checked before the session is built, so a bad id starts no Spark.
+    val table = args(0).toIntOption.filter(TableIds.contains).getOrElse(invalid(s"unknown table ${args(0)}"))
     val count = args.lift(1).map(c => c.toIntOption.getOrElse(invalid(s"non-numeric count $c")))
       .getOrElse(table match {
         case 6 => 40

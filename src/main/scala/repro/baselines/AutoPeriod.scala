@@ -6,8 +6,8 @@ import repro.core.{ACF, FFT, HuberPeriodogram}
   * threshold" from permuted sequences selects candidate period hills; each
   * candidate is validated on the ACF — it must lie on a *hill* (rising
   * then falling ACF segment) — and refined to the local ACF maximum.
-  * The threshold is the 99th percentile of 100 permutations drawn from
-  * `seed`.
+  * The threshold is sorted index ⌊0.99·100⌋ = 99 of the 100 permutation
+  * maxima drawn from `seed`, which is the largest of them.
   */
 class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
 
@@ -25,37 +25,65 @@ class AutoPeriod(seed: Long) extends Detrended("AUTOPERIOD") {
   }
 
   /** Permutation power threshold's samples: for each of the 100
-    * shuffles of x, max_{1≤k≤n/2} |X_k|²/n. Shuffling destroys periodic
-    * structure while preserving the marginal distribution; the chosen
-    * percentile of these maxima separates signal from noise bins.
+    * shuffles of x, max_{1≤k≤n/2} |X_k|²/n, in shuffle order. Shuffling
+    * destroys periodic structure while preserving the marginal
+    * distribution; the largest of these maxima separates signal from
+    * noise bins.
     *
-    * Each shuffle is the Fisher–Yates pass of `scala.util.Random.shuffle`
-    * (same draws from [[Lcg48]], same swaps) run in place on one
-    * interleaved complex buffer, which the cached plan then transforms.
+    * Shuffles 2p and 2p+1 share one complex transform: [[shufflePair]]
+    * puts them in the real and imaginary slots of one interleaved buffer,
+    * so the cached plan runs 50 times, not 100 (`Permutations` is even).
+    * With Z_k = zr + i·zi and Z_{n−k} = wr + i·wi, the two real spectra are
+    * |A_k|² = ((zr + wr)² + (zi − wi)²)/4 and
+    * |B_k|² = ((zi + wi)² + (zr − wr)²)/4 (Cooley, Lewis & Welch 1970).
     */
   def permutationMaxima(x: Array[Double]): Array[Double] = {
     val n    = x.length
     val rnd  = new Lcg48(seed)
     val plan = FFT.plan(n)
     val buf  = new Array[Double](2 * n)
-    Array.fill(Permutations) {
-      var t = 0
-      while (t < n) { buf(2 * t) = x(t); buf(2 * t + 1) = 0.0; t += 1 }
-      var i = n
-      while (i >= 2) {
-        val k = rnd.nextInt(i)
-        val tmp = buf(2 * (i - 1)); buf(2 * (i - 1)) = buf(2 * k); buf(2 * k) = tmp
-        i -= 1
-      }
+    val out  = new Array[Double](Permutations)
+    var p = 0
+    while (p < Permutations) {
+      shufflePair(x, rnd, buf)
       plan.complexForward(buf)
-      var mx = 0.0
+      // Rounding is monotone: the largest sum scaled once has the bits
+      // of the largest scaled sum.
+      var ma = 0.0; var mb = 0.0
       var k  = 1
       while (k <= n / 2) {
-        val re = buf(2 * k); val im = buf(2 * k + 1)
-        mx = math.max(mx, (re * re + im * im) / n)
+        val zr = buf(2 * k); val zi = buf(2 * k + 1)
+        val wr = buf(2 * (n - k)); val wi = buf(2 * (n - k) + 1)
+        val sr = zr + wr; val di = zi - wi
+        val si = zi + wi; val dr = zr - wr
+        ma = math.max(ma, sr * sr + di * di)
+        mb = math.max(mb, si * si + dr * dr)
         k += 1
       }
-      mx
+      out(p) = ma / (4.0 * n); out(p + 1) = mb / (4.0 * n)
+      p += 2
+    }
+    out
+  }
+
+  /** Two shuffles of x into the interleaved `buf` (length 2n): the first
+    * into the real slots, the second into the imaginary ones. Each is the
+    * Fisher–Yates pass of `scala.util.Random.shuffle` on a fresh copy of x
+    * (same draws from [[Lcg48]], same swaps), run in place.
+    */
+  private[baselines] def shufflePair(x: Array[Double], rnd: Lcg48, buf: Array[Double]): Unit = {
+    val n = x.length
+    var t = 0
+    while (t < n) { buf(2 * t) = x(t); buf(2 * t + 1) = x(t); t += 1 }
+    var slot = 0
+    while (slot < 2) {
+      var i = n
+      while (i >= 2) {
+        val a = 2 * (i - 1) + slot; val b = 2 * rnd.nextInt(i) + slot
+        val tmp = buf(a); buf(a) = buf(b); buf(b) = tmp
+        i -= 1
+      }
+      slot += 1
     }
   }
 

@@ -9,9 +9,17 @@ import org.jtransforms.fft.DoubleFFT_1D
   *   forward:  X_k = Σ_t x_t e^{-i 2π k t / n}   (no scaling)
   *   inverse:  x_t = (1/n) Σ_k X_k e^{+i 2π k t / n}
   *
-  * Arbitrary lengths are supported (JTransforms uses mixed-radix +
-  * Bluestein internally); the test suite cross-checks against a naive
-  * O(n²) DFT for prime, odd and power-of-two lengths.
+  * Arbitrary lengths are supported. JTransforms picks one of three plans
+  * per length: split radix for powers of 2; mixed radix (factors 4, 2, 3,
+  * 5) otherwise; Bluestein when the factor left after those is ≥ 211
+  * (n = 1009, a prime, is one). The test suite cross-checks against a
+  * naive O(n²) DFT for prime, odd and power-of-two lengths.
+  *
+  * Each `complexForward` call on a mixed-radix plan allocates a 2n-double
+  * work array inside JTransforms, and on a Bluestein plan a 2m-double one
+  * (m the power of 2 ≥ 2n − 1); split radix allocates none of size n.
+  * Reusing a plan and its caller's buffer does not avoid these, so a
+  * caller that needs many transforms should need fewer of them.
   *
   * Plans are built once per length and thread: see [[plan]].
   */

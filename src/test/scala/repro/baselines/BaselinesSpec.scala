@@ -1,7 +1,8 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ACF, HuberPeriodogram}
+import repro.core.{ACF, HPFilter, HuberPeriodogram}
+import repro.numerics.DoubleArrays
 import repro.synth.TimeSeriesGen._
 import scala.util.Random
 
@@ -160,17 +161,19 @@ class AutoPeriodSpec extends AnyFunSuite {
   }
 
   /** The permutation threshold as first written: `Random.shuffle` of a
-    * boxed copy and a vanilla periodogram per permutation — the reference
-    * the in-place version must reproduce bit for bit.
+    * boxed copy and a vanilla periodogram per permutation. The paired
+    * in-place version must draw the same shuffles bit for bit; it takes
+    * the maxima from one transform per pair of shuffles, so they match
+    * the oracle's to rounding only.
     */
   private class ShuffleOracle(seed: Long) extends AutoPeriod(seed) {
-    def maxima(x: Array[Double]): Array[Double] = {
-      val n   = x.length
+    def shuffles(x: Array[Double]): Array[Array[Double]] = {
       val rnd = new Random(seed)
-      Array.fill(100) {
-        val ps = HuberPeriodogram.vanilla(rnd.shuffle(x.toVector).toArray)
-        (1 to n / 2).map(ps(_)).foldLeft(0.0)(math.max)
-      }
+      Array.fill(100)(rnd.shuffle(x.toVector).toArray)
+    }
+    def maxima(x: Array[Double]): Array[Double] = shuffles(x).map { s =>
+      val ps = HuberPeriodogram.vanilla(s)
+      (1 to s.length / 2).map(ps(_)).foldLeft(0.0)(math.max)
     }
     override protected def detectDetrended(x: Array[Double]): Seq[Int] = {
       val m = maxima(x).sorted
@@ -179,15 +182,64 @@ class AutoPeriodSpec extends AnyFunSuite {
     }
   }
 
-  for (n <- Seq(1000, 1680, 999); seed <- Seq(7L, 1L, 2024L)) {
+  // Median bytes of one call at n = 1000, measured as in the test below on
+  // the version that ran one transform per shuffle (100 transforms).
+  private val OneTransformPerShuffleBytes = 1620904L
+
+  private def bits(a: Array[Double]): Seq[Long] = a.map(java.lang.Double.doubleToRawLongBits).toSeq
+
+  // 1009 is prime, so JTransforms takes its Bluestein path.
+  for (n <- Seq(1000, 1680, 999, 1009); seed <- Seq(7L, 1L, 2024L)) {
     test(s"in-place permutations equal Random.shuffle bit for bit (n=$n, seed=$seed)") {
-      val y    = synthetic(n, Seq(20, 50), Sin, 1.0, 0.1, seed = seed + n)
-      val want = new ShuffleOracle(seed).maxima(y)
-      val got  = new AutoPeriod(seed).permutationMaxima(y)
-      assert(got.map(java.lang.Double.doubleToRawLongBits).toSeq ==
-             want.map(java.lang.Double.doubleToRawLongBits).toSeq)
-      assert(new AutoPeriod(seed).detect(y) == new ShuffleOracle(seed).detect(y))
+      val y      = synthetic(n, Seq(20, 50), Sin, 1.0, 0.1, seed = seed + n)
+      val oracle = new ShuffleOracle(seed)
+      val want   = oracle.shuffles(y)
+      val rnd    = new Lcg48(seed)
+      val buf    = new Array[Double](2 * n)
+      (0 until 50).foreach { p =>
+        AutoPeriod.shufflePair(y, rnd, buf)
+        assert(bits(Array.tabulate(n)(t => buf(2 * t))) == bits(want(2 * p)), s"shuffle ${2 * p}")
+        assert(bits(Array.tabulate(n)(t => buf(2 * t + 1))) == bits(want(2 * p + 1)), s"shuffle ${2 * p + 1}")
+      }
+      val wantMax = oracle.maxima(y)
+      val got     = new AutoPeriod(seed).permutationMaxima(y)
+      assert(got.length == 100)
+      got.indices.foreach { i =>
+        assert(math.abs(got(i) - wantMax(i)) <= 1e-13 * wantMax(i), s"maximum $i: ${got(i)} vs ${wantMax(i)}")
+      }
+      assert(new AutoPeriod(seed).detect(y) == oracle.detect(y))
     }
+  }
+
+  test("the threshold is the largest of the permutation maxima") {
+    val ys = Seq(synthetic(1000, Seq(20, 50), Sin, 1.0, 0.1, seed = 31),
+                 synthetic(1680, Seq(12, 24, 168), Sin, 0.1, 0.01, seed = 32),
+                 synthetic(999, Seq(40), Sin, 0.3, 0.02, seed = 33))
+    for (y <- ys; seed <- Seq(7L, 2024L)) {
+      val h  = HPFilter.detrend(y)
+      val m  = DoubleArrays.sum(h) / h.length
+      val d  = DoubleArrays.map(h)(_ - m)
+      val ap = new AutoPeriod(seed)
+      val want = ap.candidatesValidated(HuberPeriodogram.vanilla(d), ACF.biased(d), d.length,
+        ap.permutationMaxima(d).max)
+      assert(want.nonEmpty)
+      assert(ap.detect(y) == want, s"n=${y.length}, seed=$seed")
+    }
+  }
+
+  test("permutationMaxima allocates at most 0.6 of the one-transform-per-shuffle figure (n=1000)") {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val y  = synthetic(1000, Seq(20, 50), Sin, 1.0, 0.1, seed = 34)
+    val ap = new AutoPeriod(7)
+    (0 until 40).foreach(_ => ap.permutationMaxima(y))
+    val bytes = (0 until 7).map { _ =>
+      val b0 = threads.getCurrentThreadAllocatedBytes
+      ap.permutationMaxima(y)
+      threads.getCurrentThreadAllocatedBytes - b0
+    }.sorted
+    val median = bytes(bytes.length / 2)
+    assert(median <= 0.6 * OneTransformPerShuffleBytes, s"$median bytes per call, runs ${bytes.mkString(",")}")
   }
 
   // Powers of two take the multiply branch; bounds above 2^30 reject about

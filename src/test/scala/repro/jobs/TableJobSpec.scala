@@ -29,4 +29,15 @@ class TableJobSpec extends SparkSpec {
       assert(e.getMessage.contains("valid: 1, 2, 3, 4, 5, 6, 7"), e.getMessage)
     }
   }
+
+  test("a numeric but unknown table id fails in main before a session is built") {
+    val sc = spark.sparkContext
+    for (id <- Seq("9", "0")) {
+      val e = intercept[IllegalArgumentException](TableJob.main(Array(id)))
+      assert(e.getMessage.contains(s"unknown table $id"), e.getMessage)
+      assert(e.getMessage.contains("valid: 1, 2, 3, 4, 5, 6, 7"), e.getMessage)
+    }
+    // main would have picked up the shared session and stopped it in `finally`.
+    assert(!sc.isStopped)
+  }
 }
